@@ -71,6 +71,20 @@ print(f"cache.hits = {hits}")
 EOF
 echo "ok"
 
+echo "== elaborate-once smoke: cache-less table2 identical, one netlist per point =="
+step python -m repro table2 > "$tmp/t2_nocache.txt"
+cmp "$tmp/t2_cold.txt" "$tmp/t2_nocache.txt"
+# --metrics adds a "wrote metrics" line to stdout, so it runs on its own.
+step python -m repro table2 --metrics "$tmp/t2_nocache_metrics.json" > /dev/null
+step python - "$tmp/t2_nocache_metrics.json" <<'EOF'
+import json, sys
+payload = json.load(open(sys.argv[1]))
+runs = payload["metrics"]["counters"].get("elaborate.runs", 0)
+assert runs == 14, f"expected 14 elaborations (one per design point), got {runs}"
+print(f"elaborate.runs = {runs}")
+EOF
+echo "ok"
+
 echo "== serve smoke: live service vs CLI, batching, cache hits, drain =="
 python -m repro serve --port 0 --cache "$tmp/cache" \
     --warm verilog-initial --batch-wait-ms 50 > "$tmp/serve.out" &

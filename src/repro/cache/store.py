@@ -295,7 +295,7 @@ class ArtifactCache:
 
 
 # ----------------------------------------------------------------------
-# process-wide active cache (consulted by measure_design / _synth_pair)
+# process-wide active cache (consulted by measure_design)
 # ----------------------------------------------------------------------
 
 _ACTIVE: ArtifactCache | None = None

@@ -20,8 +20,9 @@ from .. import cache as artifact_cache
 from ..frontends.base import Design
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..rtl import elaborate
-from ..synth import SynthReport, synthesize
+from ..rtl import Netlist, elaborate
+from ..sim import Simulator
+from ..synth import synthesize_pair
 from .loc import design_loc
 from .verify import verify_design
 
@@ -134,7 +135,13 @@ def measure_design(design: Design, n_matrices: int = 4,
     return measured
 
 
-def _synth_pair(design: Design) -> tuple[SynthReport, SynthReport]:
+def _netlist(design: Design) -> Netlist:
+    """The design point's one netlist: from the artifact cache or elaborated.
+
+    Simulation and synthesis both read it, so each point is elaborated at
+    most once.  Ports are driven by name, so an unpickled copy serves the
+    simulator as well as the freshly elaborated one.
+    """
     disk = artifact_cache.active()
     key = None
     netlist = None
@@ -145,13 +152,15 @@ def _synth_pair(design: Design) -> tuple[SynthReport, SynthReport]:
         netlist = elaborate(design.top)
         if disk is not None:
             disk.put_pickle("netlist", key, netlist)
-    return synthesize(netlist), synthesize(netlist, max_dsp=0)
+    return netlist
 
 
 def _measure_stream(design: Design, n_matrices: int,
                     engine: str = "compiled") -> Measured:
-    run = verify_design(design, n_matrices=n_matrices, engine=engine)
-    with_dsp, no_dsp = _synth_pair(design)
+    netlist = _netlist(design)
+    run = verify_design(design, n_matrices=n_matrices,
+                        simulator=Simulator(netlist, engine=engine))
+    with_dsp, no_dsp = synthesize_pair(netlist)
     return Measured(
         name=design.name,
         language=design.language,
@@ -179,8 +188,9 @@ def _measure_maxj(design: Design) -> Measured:
     from ..frontends.maxj import system_throughput, verify_maxj
 
     meta = design.meta["maxj"]
-    bit_exact = verify_maxj(design, random_matrices(3))
-    with_dsp, no_dsp = _synth_pair(design)
+    netlist = _netlist(design)
+    bit_exact = verify_maxj(design, random_matrices(3), netlist)
+    with_dsp, no_dsp = synthesize_pair(netlist)
     manager = system_throughput(
         with_dsp.fmax_mhz, meta["ticks_per_op"], meta["input_bits"], meta["link"]
     )

@@ -30,6 +30,7 @@ from ...rtl.ir import (
     Signal,
     Slice,
     UnOp,
+    expr_children,
 )
 from ...synth.cost import node_cost
 from ...synth.tech import ULTRASCALE_PLUS, Tech
@@ -50,20 +51,6 @@ class PipelineResult:
     pipeline_ff_bits: int
     stage_node_counts: list[int] = field(default_factory=list)
     critical_path_ns: float = 0.0
-
-
-def _children(expr: Expr) -> tuple[Expr, ...]:
-    if isinstance(expr, BinOp):
-        return (expr.a, expr.b)
-    if isinstance(expr, UnOp):
-        return (expr.a,)
-    if isinstance(expr, Mux):
-        return (expr.sel, expr.if_true, expr.if_false)
-    if isinstance(expr, Cat):
-        return expr.parts
-    if isinstance(expr, (Slice, Ext)):
-        return (expr.a,)
-    return ()
 
 
 def _rebuild(expr: Expr, child_of: Callable[[Expr], Expr]) -> Expr:
@@ -130,7 +117,7 @@ def pipeline_kernel(
         if id(node) in seen:
             return
         seen.add(id(node))
-        for child in _children(node):
+        for child in expr_children(node):
             visit(child)
         ordered.append(node)
 
@@ -140,7 +127,7 @@ def pipeline_kernel(
     # Arrival times with the technology delay model.
     arrival: dict[int, float] = {}
     for node in ordered:
-        base = max((arrival[id(c)] for c in _children(node)), default=0.0)
+        base = max((arrival[id(c)] for c in expr_children(node)), default=0.0)
         arrival[id(node)] = base + node_cost(node, tech, allow_dsp=False).delay
     critical = max((arrival[id(v.expr)] for v in outputs.values()), default=0.0)
     t_stage = critical / n_stages if critical > 0 else 1.0
@@ -149,7 +136,7 @@ def pipeline_kernel(
     stage: dict[int, int] = {}
     for node in ordered:
         by_time = min(n_stages - 1, int(arrival[id(node)] / (t_stage + 1e-12)))
-        by_children = max((stage[id(c)] for c in _children(node)), default=0)
+        by_children = max((stage[id(c)] for c in expr_children(node)), default=0)
         stage[id(node)] = max(by_time, by_children)
 
     # ------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ...core.bits import to_signed, to_unsigned
+from ...rtl import Netlist
 from ...sim import Simulator
 from ..base import Design
 from .designs import COLS, ELEM_W, ROWS
@@ -23,9 +24,10 @@ def _unpack(word: int, count: int) -> list[int]:
     return [to_signed((word >> (i * ELEM_W)) & 0xFFFF, ELEM_W) for i in range(count)]
 
 
-def run_matrix_kernel(design: Design, matrices: Sequence[Sequence[Sequence[int]]]):
+def run_matrix_kernel(design: Design, matrices: Sequence[Sequence[Sequence[int]]],
+                      netlist: Netlist | None = None):
     """Drive one matrix per tick through the full-matrix kernel."""
-    sim = Simulator(design.top)
+    sim = Simulator(design.top if netlist is None else netlist)
     sim.poke("ce", 1)
     depth = design.meta["maxj"]["pipeline_depth"]
     outs = []
@@ -41,9 +43,10 @@ def run_matrix_kernel(design: Design, matrices: Sequence[Sequence[Sequence[int]]
     return outs
 
 
-def run_row_kernel(design: Design, matrices: Sequence[Sequence[Sequence[int]]]):
+def run_row_kernel(design: Design, matrices: Sequence[Sequence[Sequence[int]]],
+                   netlist: Netlist | None = None):
     """Drive one row per tick; collect column-streamed results."""
-    sim = Simulator(design.top)
+    sim = Simulator(design.top if netlist is None else netlist)
     sim.poke("ce", 1)
     depth = design.meta["maxj"]["pipeline_depth"]
     beats = [row for matrix in matrices for row in matrix]
@@ -63,13 +66,16 @@ def run_row_kernel(design: Design, matrices: Sequence[Sequence[Sequence[int]]]):
     return outs
 
 
-def verify_maxj(design: Design, matrices) -> bool:
-    """Bit-exactness of a MaxJ design against the golden model."""
+def verify_maxj(design: Design, matrices, netlist: Netlist | None = None) -> bool:
+    """Bit-exactness of a MaxJ design against the golden model.
+
+    ``netlist`` reuses an already elaborated ``design.top``.
+    """
     from ...idct.reference import chen_wang_idct
 
     if design.meta["maxj"]["ticks_per_op"] == 1:
-        outs = run_matrix_kernel(design, matrices)
+        outs = run_matrix_kernel(design, matrices, netlist)
     else:
-        outs = run_row_kernel(design, matrices)
+        outs = run_row_kernel(design, matrices, netlist)
     expected = [chen_wang_idct([list(r) for r in m]) for m in matrices]
     return outs == expected

@@ -34,7 +34,7 @@ from .ir import (
     Signal,
     Slice,
     UnOp,
-    expr_mem_reads,
+    distinct_nodes,
     expr_signals,
 )
 from .module import Instance, Memory, MemWrite, Module, Register
@@ -64,6 +64,18 @@ class Netlist:
     memories: list[Memory] = field(default_factory=list)
 
     # ------------------------------------------------------------------
+    def roots(self) -> list[Expr]:
+        """Every expression root: assigns, register next/enable, memory writes."""
+        roots: list[Expr] = [expr for _sig, expr in self.assigns]
+        for reg in self.registers:
+            roots.append(reg.next)
+            if reg.en is not None:
+                roots.append(reg.en)
+        for mem in self.memories:
+            for write in mem.writes:
+                roots.extend((write.en, write.addr, write.data))
+        return roots
+
     def signals(self) -> list[Signal]:
         """Every signal in the netlist, in a stable order."""
         seen: dict[Signal, None] = {}
@@ -76,20 +88,11 @@ class Netlist:
         for sig in self.outputs:
             seen.setdefault(sig)
         # signals only ever read (should not exist after validation)
-        for _sig, expr in self.assigns:
-            for read in expr_signals(expr):
-                seen.setdefault(read)
-        for reg in self.registers:
-            for read in expr_signals(reg.next):
-                seen.setdefault(read)
-            if reg.en is not None:
-                for read in expr_signals(reg.en):
-                    seen.setdefault(read)
-        for mem in self.memories:
-            for write in mem.writes:
-                for expr in (write.en, write.addr, write.data):
-                    for read in expr_signals(expr):
-                        seen.setdefault(read)
+        visited: set[int] = set()
+        for root in self.roots():
+            for node in distinct_nodes(root, visited):
+                if isinstance(node, Ref):
+                    seen.setdefault(node.signal)
         return list(seen)
 
     def validate(self) -> None:
@@ -106,11 +109,14 @@ class Netlist:
                 raise DriverError(f"{self.name}: {reg.signal.name} driven more than once")
             drivers[reg.signal] = "register"
 
+        # One walk over the whole netlist: a node shared by several roots
+        # is checked under the first root that reaches it.
+        visited: set[int] = set()
         def check_reads(expr: Expr, context: str) -> None:
-            for read in expr_signals(expr):
-                if read not in drivers:
+            for node in distinct_nodes(expr, visited):
+                if isinstance(node, Ref) and node.signal not in drivers:
                     raise DriverError(
-                        f"{self.name}: {read.name} read by {context} but never driven"
+                        f"{self.name}: {node.signal.name} read by {context} but never driven"
                     )
 
         for sig, expr in self.assigns:
@@ -141,9 +147,11 @@ class Netlist:
         the Bambu-style single-channel violations the tests exercise.
         """
         reads: dict[Memory, set[int]] = {}
+        visited: set[int] = set()
         def scan(expr: Expr) -> None:
-            for node in expr_mem_reads(expr):
-                reads.setdefault(node.memory, set()).add(id(node.addr))  # type: ignore[arg-type]
+            for node in distinct_nodes(expr, visited):
+                if isinstance(node, MemRead):
+                    reads.setdefault(node.memory, set()).add(id(node.addr))  # type: ignore[arg-type]
 
         for _sig, expr in self.assigns:
             scan(expr)

@@ -39,6 +39,8 @@ __all__ = [
     "Signal",
     "eval_expr",
     "emit_py",
+    "distinct_nodes",
+    "expr_children",
     "expr_signals",
     "expr_mem_reads",
     "expr_size",
@@ -507,52 +509,60 @@ def _emit_binop(expr: BinOp, a: str, b: str) -> str:
 # structural queries
 # ----------------------------------------------------------------------
 
+def expr_children(expr: Expr) -> tuple[Expr, ...]:
+    """The direct operands of ``expr``, in evaluation order."""
+    if isinstance(expr, BinOp):
+        return (expr.a, expr.b)
+    if isinstance(expr, (Slice, Ext, UnOp)):
+        return (expr.a,)
+    if isinstance(expr, Mux):
+        return (expr.sel, expr.if_true, expr.if_false)
+    if isinstance(expr, Cat):
+        return expr.parts
+    if isinstance(expr, MemRead):
+        return (expr.addr,)
+    return ()
+
+
+def distinct_nodes(expr: Expr, seen: set[int] | None = None):
+    """Yield each node *object* of the DAG under ``expr`` once, pre-order.
+
+    Frontends share subexpressions heavily, so a tree walk would cost the
+    number of paths; this one costs the number of distinct nodes.  Passing
+    one ``seen`` set (of node ids) across calls skips nodes already yielded
+    for earlier roots, making a whole-netlist pass linear too.
+    """
+    if seen is None:
+        seen = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        key = id(node)
+        if key in seen:
+            continue
+        seen.add(key)
+        yield node
+        stack.extend(reversed(expr_children(node)))
+
+
 def expr_signals(expr: Expr, out: set[Signal] | None = None) -> set[Signal]:
     """Collect every signal read by ``expr`` (transitively)."""
     if out is None:
         out = set()
-    if isinstance(expr, Ref):
-        out.add(expr.signal)
-    elif isinstance(expr, BinOp):
-        expr_signals(expr.a, out)
-        expr_signals(expr.b, out)
-    elif isinstance(expr, UnOp):
-        expr_signals(expr.a, out)
-    elif isinstance(expr, Mux):
-        expr_signals(expr.sel, out)
-        expr_signals(expr.if_true, out)
-        expr_signals(expr.if_false, out)
-    elif isinstance(expr, Cat):
-        for part in expr.parts:
-            expr_signals(part, out)
-    elif isinstance(expr, (Slice, Ext)):
-        expr_signals(expr.a, out)
-    elif isinstance(expr, MemRead):
-        expr_signals(expr.addr, out)
+    for node in distinct_nodes(expr):
+        if isinstance(node, Ref):
+            out.add(node.signal)
     return out
 
 
 def expr_mem_reads(expr: Expr, out: list[MemRead] | None = None) -> list[MemRead]:
-    """Collect every :class:`MemRead` node in ``expr`` (pre-order)."""
+    """Collect the distinct :class:`MemRead` nodes in ``expr`` (pre-order).
+
+    A node object reached along several paths is listed once.
+    """
     if out is None:
         out = []
-    if isinstance(expr, MemRead):
-        out.append(expr)
-        expr_mem_reads(expr.addr, out)
-    elif isinstance(expr, BinOp):
-        expr_mem_reads(expr.a, out)
-        expr_mem_reads(expr.b, out)
-    elif isinstance(expr, UnOp):
-        expr_mem_reads(expr.a, out)
-    elif isinstance(expr, Mux):
-        expr_mem_reads(expr.sel, out)
-        expr_mem_reads(expr.if_true, out)
-        expr_mem_reads(expr.if_false, out)
-    elif isinstance(expr, Cat):
-        for part in expr.parts:
-            expr_mem_reads(part, out)
-    elif isinstance(expr, (Slice, Ext)):
-        expr_mem_reads(expr.a, out)
+    out.extend(node for node in distinct_nodes(expr) if isinstance(node, MemRead))
     return out
 
 

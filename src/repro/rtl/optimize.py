@@ -42,6 +42,7 @@ from .ir import (
     Slice,
     UnOp,
     eval_expr,
+    expr_children,
     expr_mem_reads,
     expr_signals,
 )
@@ -64,22 +65,6 @@ class OptStats:
     def total(self) -> int:
         return (self.folded + self.simplified + self.merged
                 + self.dead_assigns + self.dead_registers + self.dead_memories)
-
-
-def _children(expr: Expr) -> tuple[Expr, ...]:
-    if isinstance(expr, BinOp):
-        return (expr.a, expr.b)
-    if isinstance(expr, UnOp):
-        return (expr.a,)
-    if isinstance(expr, Mux):
-        return (expr.sel, expr.if_true, expr.if_false)
-    if isinstance(expr, Cat):
-        return expr.parts
-    if isinstance(expr, (Slice, Ext)):
-        return (expr.a,)
-    if isinstance(expr, MemRead):
-        return (expr.addr,)
-    return ()
 
 
 def _rebuild(expr: Expr, children: tuple[Expr, ...]) -> Expr:
@@ -117,13 +102,13 @@ class _Rewriter:
         cached = self._memo.get(id(expr))
         if cached is not None:
             return cached
-        children = tuple(self.rewrite(c) for c in _children(expr))
+        children = tuple(self.rewrite(c) for c in expr_children(expr))
         if isinstance(expr, MemRead):
             # Always rebuild reads so they point at the cloned memory.
             memory = self._mem_map.get(expr.memory, expr.memory)
             node: Expr = MemRead(memory, children[0])
-        elif (all(a is b for a, b in zip(children, _children(expr)))
-                and len(children) == len(_children(expr))):
+        elif (all(a is b for a, b in zip(children, expr_children(expr)))
+                and len(children) == len(expr_children(expr))):
             node = expr
         else:
             node = _rebuild(expr, children)
@@ -142,7 +127,7 @@ class _Rewriter:
             return expr
         if isinstance(expr, MemRead):
             return expr
-        if all(isinstance(c, Const) for c in _children(expr)):
+        if all(isinstance(c, Const) for c in expr_children(expr)):
             value = eval_expr(expr, lambda _sig: 0)
             self._stats.folded += 1
             return Const(value, expr.width)

@@ -75,10 +75,11 @@ from ..rtl.ir import (
     UnOpKind,
     _eval_binop,
     _eval_unop,
+    expr_children,
     to_signed,
 )
 from ..rtl.module import Memory, Module
-from .compile import CompiledNetlist, _children
+from .compile import CompiledNetlist
 
 __all__ = [
     "BatchCompiled",
@@ -214,7 +215,7 @@ class _BatchEmitter:
         self._counts[key] = self._counts.get(key, 0) + 1
         if self._counts[key] > 1:
             return
-        for child in _children(expr):
+        for child in expr_children(expr):
             self.count(child)
 
     # -- constants -----------------------------------------------------
@@ -480,7 +481,7 @@ def _max_expr_width(netlist: Netlist) -> int:
         seen.add(id(expr))
         if expr.width > widest:
             widest = expr.width
-        for child in _children(expr):
+        for child in expr_children(expr):
             walk(child)
 
     for _sig, expr in netlist.comb_order():

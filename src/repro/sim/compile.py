@@ -18,7 +18,7 @@ from ..core.bits import to_signed
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..rtl.elaborate import Netlist
-from ..rtl.ir import Const, Expr, MemRead, Ref, Signal, emit_py
+from ..rtl.ir import Const, Expr, MemRead, Ref, Signal, emit_py, expr_children
 from ..rtl.module import Memory
 
 __all__ = ["CompiledNetlist", "compile_netlist"]
@@ -50,6 +50,7 @@ class _Emitter:
         self._counts: dict[int, int] = {}
         self._nodes: dict[int, Expr] = {}
         self._temp_of: dict[int, str] = {}
+        self._shared_below: dict[int, bool] = {}
         self._lines: list[str] = []
         self._next_temp = 0
 
@@ -61,7 +62,7 @@ class _Emitter:
         if self._counts[key] > 1:
             return
         self._nodes[key] = expr
-        for child in _children(expr):
+        for child in expr_children(expr):
             self.count(child)
 
     # -- emission ------------------------------------------------------
@@ -79,22 +80,36 @@ class _Emitter:
         if self._counts.get(key, 0) > 1 and not isinstance(expr, (Const, Ref)):
             # Hoist: emit children first (recursively), then a temp binding.
             inner = emit_py(expr, self._ref_of, self._mem_of) \
-                if not _has_shared_children(expr, self) else self._emit_with_temps(expr)
+                if not self._has_shared_children(expr) else self._emit_with_temps(expr)
             temp = f"t{self._next_temp}"
             self._next_temp += 1
             self._lines.append(f"    {temp} = {inner}")
             self._temp_of[key] = temp
             return temp
-        if _has_shared_children(expr, self):
+        if self._has_shared_children(expr):
             return self._emit_with_temps(expr)
         return emit_py(expr, self._ref_of, self._mem_of)
+
+    def _has_shared_children(self, expr: Expr) -> bool:
+        """True when any transitive child is (or contains) a hoisted node."""
+        key = id(expr)
+        known = self._shared_below.get(key)
+        if known is not None:
+            return known
+        result = any(
+            (self._counts.get(id(child), 0) > 1 and not isinstance(child, (Const, Ref)))
+            or self._has_shared_children(child)
+            for child in expr_children(expr)
+        )
+        self._shared_below[key] = result
+        return result
 
     def _emit_with_temps(self, expr: Expr) -> str:
         """Emit ``expr`` where some children are hoisted temporaries."""
         # Hoist shared children first, then emit this node with a reader
         # that intercepts them.  emit_py only sees leaf signals, so we wrap
         # the whole recursion manually for structured nodes.
-        parts = {id(child): self.code_for(child) for child in _children(expr)}
+        parts = {id(child): self.code_for(child) for child in expr_children(expr)}
 
         # Re-emit this single node with children replaced by their code.
         return _emit_node(expr, parts, self._ref_of, self._mem_of)
@@ -105,35 +120,6 @@ class _Emitter:
     @property
     def lines(self) -> list[str]:
         return self._lines
-
-
-def _children(expr: Expr) -> tuple[Expr, ...]:
-    from ..rtl.ir import BinOp, Cat, Ext, Mux, Slice, UnOp
-
-    if isinstance(expr, BinOp):
-        return (expr.a, expr.b)
-    if isinstance(expr, UnOp):
-        return (expr.a,)
-    if isinstance(expr, Mux):
-        return (expr.sel, expr.if_true, expr.if_false)
-    if isinstance(expr, Cat):
-        return expr.parts
-    if isinstance(expr, (Slice, Ext)):
-        return (expr.a,)
-    if isinstance(expr, MemRead):
-        return (expr.addr,)
-    return ()
-
-
-def _has_shared_children(expr: Expr, emitter: _Emitter) -> bool:
-    """True when any transitive child is (or contains) a hoisted node."""
-    for child in _children(expr):
-        key = id(child)
-        if emitter._counts.get(key, 0) > 1 and not isinstance(child, (Const, Ref)):
-            return True
-        if _has_shared_children(child, emitter):
-            return True
-    return False
 
 
 def _emit_node(

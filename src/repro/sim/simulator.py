@@ -67,7 +67,8 @@ class Simulator:
         self._inputs = set(design.inputs)
         self._values: list[int] = [0] * len(self._index_of)
         self._mems: list[list[int]] = []
-        self._comb_order = design.comb_order()
+        # Only the interpreter walks assigns itself; the compilers levelize.
+        self._comb_order = design.comb_order() if engine == "interp" else []
         self._dirty = True
         self.cycles = 0
         self.settles = 0   # lifetime count of combinational settle passes

@@ -1,6 +1,6 @@
 """FPGA synthesis cost model: technology mapping, area, static timing."""
 
-from .analyze import SynthReport, normalized_area, synthesize
+from .analyze import SynthReport, normalized_area, synthesize, synthesize_pair
 from .power import PowerReport, estimate_power, measure_activity
 from .cost import NodeCost, node_cost
 from .device import XCVU9P, Device
@@ -12,6 +12,7 @@ __all__ = [
     "estimate_power",
     "measure_activity",
     "synthesize",
+    "synthesize_pair",
     "normalized_area",
     "NodeCost",
     "node_cost",

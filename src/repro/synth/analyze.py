@@ -20,13 +20,13 @@ from ..core.errors import SynthesisError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..rtl.elaborate import Netlist
-from ..rtl.ir import BinOp, Cat, Const, Expr, Ext, MemRead, Mux, Ref, Signal, Slice, UnOp
+from ..rtl.ir import Expr, Ref, Signal, expr_children
 from ..rtl.module import Memory
 from .cost import is_dsp_candidate, mult_dsp_count, node_cost
 from .device import XCVU9P, Device
 from .tech import ULTRASCALE_PLUS, Tech
 
-__all__ = ["SynthReport", "synthesize", "normalized_area"]
+__all__ = ["SynthReport", "synthesize", "synthesize_pair", "normalized_area"]
 
 
 @dataclass
@@ -63,22 +63,6 @@ class SynthReport:
         )
 
 
-def _children(expr: Expr) -> tuple[Expr, ...]:
-    if isinstance(expr, BinOp):
-        return (expr.a, expr.b)
-    if isinstance(expr, UnOp):
-        return (expr.a,)
-    if isinstance(expr, Mux):
-        return (expr.sel, expr.if_true, expr.if_false)
-    if isinstance(expr, Cat):
-        return expr.parts
-    if isinstance(expr, (Slice, Ext)):
-        return (expr.a,)
-    if isinstance(expr, MemRead):
-        return (expr.addr,)
-    return ()
-
-
 def _collect_nodes(roots: list[Expr]) -> list[Expr]:
     """Unique expression nodes (by object identity), children first."""
     seen: set[int] = set()
@@ -89,7 +73,7 @@ def _collect_nodes(roots: list[Expr]) -> list[Expr]:
         if key in seen:
             return
         seen.add(key)
-        for child in _children(node):
+        for child in expr_children(node):
             visit(child)
         ordered.append(node)
 
@@ -123,60 +107,102 @@ def synthesize(
     """
     with obs_trace.span("synth", netlist=netlist.name,
                         max_dsp="device" if max_dsp is None else max_dsp) as sp:
-        return _synthesize_traced(netlist, tech, device, max_dsp, sp)
+        return _synthesize_traced(netlist, tech, device, (max_dsp,), sp)[0]
 
 
-def _synthesize_traced(netlist, tech, device, max_dsp, sp) -> SynthReport:
-    roots: list[Expr] = [expr for _sig, expr in netlist.assigns]
-    for reg in netlist.registers:
-        roots.append(reg.next)
-        if reg.en is not None:
-            roots.append(reg.en)
-    for mem in netlist.memories:
-        for write in mem.writes:
-            roots.extend((write.en, write.addr, write.data))
+def synthesize_pair(
+    netlist: Netlist,
+    tech: Tech = ULTRASCALE_PLUS,
+    device: Device = XCVU9P,
+) -> tuple[SynthReport, SynthReport]:
+    """``(synthesize(netlist), synthesize(netlist, max_dsp=0))`` in one walk.
 
-    map_span = obs_trace.span("synth.map", netlist=netlist.name)
-    map_span.__enter__()
-    nodes = _collect_nodes(roots)
+    The node collection, levelization, flip-flop and memory totals are
+    shared; only DSP allocation, costing and timing run per setting.
+    """
+    with obs_trace.span("synth", netlist=netlist.name, max_dsp="device,0") as sp:
+        with_dsp, no_dsp = _synthesize_traced(netlist, tech, device, (None, 0), sp)
+    return with_dsp, no_dsp
 
-    # ------------------------------------------------------------------
-    # DSP budget allocation: biggest variable multipliers first.
-    # ------------------------------------------------------------------
+
+def _synthesize_traced(netlist, tech, device, settings, sp) -> list[SynthReport]:
+    with obs_trace.span("synth.map", netlist=netlist.name) as map_span:
+        nodes = _collect_nodes(netlist.roots())
+        fabric = [node_cost(node, tech, allow_dsp=False) for node in nodes]
+        mults = [node for node in nodes if is_dsp_candidate(node, tech)]
+        mults.sort(key=lambda n: (-(n.a.width * n.b.width), id(n)))
+        n_ff = sum(reg.signal.width for reg in netlist.registers)
+        mem_areas = [_memory_area(mem, tech) for mem in netlist.memories]
+        n_bram = sum(brams for _luts, brams in mem_areas)
+        mapped = [_map(nodes, fabric, mults, tech, device, max_dsp)
+                  for max_dsp in settings]
+        map_span.set(cells=len(nodes), dsp=mapped[0][2])
+
+    with obs_trace.span("synth.sta", netlist=netlist.name) as sta_span:
+        order = netlist.comb_order()
+        timed = [_sta(netlist, order, costs, tech) for _luts, costs, _dsp in mapped]
+        sta_span.set(t_clk_ns=round(timed[0][0], 3))
+
+    reports = []
+    for (luts, _costs, used_dsp), (t_clk, critical_name) in zip(mapped, timed):
+        for mem_luts, _brams in mem_areas:
+            luts += mem_luts
+        n_lut = int(round(luts))
+        report = SynthReport(
+            name=netlist.name,
+            n_lut=n_lut,
+            n_ff=n_ff,
+            n_dsp=used_dsp,
+            n_bram=n_bram,
+            n_io=netlist.n_io,
+            t_clk_ns=t_clk,
+            critical_path=[critical_name] if critical_name else [],
+        )
+        if not device.fits(n_lut, n_ff, used_dsp, min(report.n_io, device.n_io)):
+            raise SynthesisError(
+                f"{netlist.name} does not fit {device.name}: {report.summary()}"
+            )
+        if obs_trace.enabled():
+            obs_metrics.inc("synth.runs")
+            obs_metrics.inc("synth.cells_mapped", len(nodes))
+            obs_metrics.inc("synth.dsp_used", used_dsp)
+            obs_metrics.observe("synth.t_clk_ns", t_clk)
+        reports.append(report)
+    if obs_trace.enabled():
+        first = reports[0]
+        sp.set(n_lut=first.n_lut, n_ff=n_ff, n_dsp=first.n_dsp,
+               t_clk_ns=round(first.t_clk_ns, 3))
+    return reports
+
+
+def _map(nodes, fabric, mults, tech, device, max_dsp) -> tuple[float, dict[int, float], int]:
+    """DSP allocation and area for one ``max_dsp`` setting.
+
+    ``fabric`` holds each node's cost without DSPs; only the multipliers
+    granted a DSP are re-costed.  Returns the logic LUTs (memories
+    excluded), each node's delay, and the DSP slices used.  Variable
+    multipliers get DSPs biggest-first.
+    """
     budget = device.n_dsp if max_dsp is None else min(max_dsp, device.n_dsp)
-    mults = [node for node in nodes if is_dsp_candidate(node, tech)]
-    mults.sort(key=lambda n: (-(n.a.width * n.b.width), id(n)))
     dsp_mapped: set[int] = set()
     used_dsp = 0
     for node in mults:
-        need = mult_dsp_count(node, tech)  # type: ignore[arg-type]
+        need = mult_dsp_count(node, tech)
         if used_dsp + need <= budget:
             dsp_mapped.add(id(node))
             used_dsp += need
-
-    # ------------------------------------------------------------------
-    # Area accumulation.
-    # ------------------------------------------------------------------
     luts = 0.0
     costs: dict[int, float] = {}
-    for node in nodes:
-        cost = node_cost(node, tech, allow_dsp=id(node) in dsp_mapped)
+    for node, cost in zip(nodes, fabric):
+        if id(node) in dsp_mapped:
+            cost = node_cost(node, tech, allow_dsp=True)
         luts += cost.luts
         costs[id(node)] = cost.delay
-    n_ff = sum(reg.signal.width for reg in netlist.registers)
-    n_bram = 0
-    for mem in netlist.memories:
-        mem_luts, mem_brams = _memory_area(mem, tech)
-        luts += mem_luts
-        n_bram += mem_brams
-    map_span.set(cells=len(nodes), dsp=used_dsp)
-    map_span.__exit__(None, None, None)
+    return luts, costs, used_dsp
 
-    # ------------------------------------------------------------------
-    # Static timing: arrival times over the DAG in dependency order.
-    # ------------------------------------------------------------------
-    sta_span = obs_trace.span("synth.sta", netlist=netlist.name)
-    sta_span.__enter__()
+
+def _sta(netlist, order, costs, tech) -> tuple[float, str]:
+    """Static timing over the DAG: ``(t_clk_ns, critical endpoint)``."""
     arrival_sig: dict[Signal, float] = {}
     for sig in netlist.inputs:
         arrival_sig[sig] = 0.0
@@ -193,12 +219,12 @@ def _synthesize_traced(netlist, tech, device, max_dsp, sp) -> SynthReport:
         if isinstance(node, Ref):
             value = arrival_sig.get(node.signal, 0.0)
         else:
-            base = max((arrival(child) for child in _children(node)), default=0.0)
+            base = max((arrival(child) for child in expr_children(node)), default=0.0)
             value = base + costs[key]
         arrival_node[key] = value
         return value
 
-    for sig, expr in netlist.comb_order():
+    for sig, expr in order:
         arrival_sig[sig] = arrival(expr)
 
     critical = 0.0
@@ -220,33 +246,7 @@ def _synthesize_traced(netlist, tech, device, max_dsp, sp) -> SynthReport:
     for sig in netlist.outputs:
         consider(arrival_sig.get(sig, 0.0) + tech.t_setup, f"output {sig.name}")
 
-    t_clk = critical * tech.routing_factor + tech.clock_overhead
-    sta_span.set(t_clk_ns=round(t_clk, 3))
-    sta_span.__exit__(None, None, None)
-
-    n_lut = int(round(luts))
-    report = SynthReport(
-        name=netlist.name,
-        n_lut=n_lut,
-        n_ff=n_ff,
-        n_dsp=used_dsp,
-        n_bram=n_bram,
-        n_io=netlist.n_io,
-        t_clk_ns=t_clk,
-        critical_path=[critical_name] if critical_name else [],
-    )
-    if not device.fits(n_lut, n_ff, used_dsp, min(report.n_io, device.n_io)):
-        raise SynthesisError(
-            f"{netlist.name} does not fit {device.name}: {report.summary()}"
-        )
-    if obs_trace.enabled():
-        obs_metrics.inc("synth.runs")
-        obs_metrics.inc("synth.cells_mapped", len(nodes))
-        obs_metrics.inc("synth.dsp_used", used_dsp)
-        obs_metrics.observe("synth.t_clk_ns", t_clk)
-        sp.set(n_lut=n_lut, n_ff=n_ff, n_dsp=used_dsp,
-               t_clk_ns=round(t_clk, 3))
-    return report
+    return critical * tech.routing_factor + tech.clock_overhead, critical_name
 
 
 def normalized_area(

@@ -100,6 +100,73 @@ class TestMeasurement:
         assert measured.extra["bound"] == "link"
 
 
+class TestOneNetlistPerPoint:
+    """Simulation and synthesis of a design point share one netlist."""
+
+    @pytest.fixture
+    def traced(self):
+        from repro import obs
+        from repro.eval.measure import clear_measure_cache
+
+        clear_measure_cache()
+        obs.disable()
+        obs.clear()
+        obs.enable()
+        yield obs
+        obs.disable()
+        obs.clear()
+
+    @staticmethod
+    def spans(obs, name):
+        return [r for r in obs.trace.events() if r.name == name]
+
+    @pytest.mark.parametrize("factory", ["vlog.verilog_opt", "maxj.maxj_initial",
+                                         "maxj.maxj_opt"])
+    def test_one_elaborate_per_measurement(self, traced, factory):
+        import importlib
+
+        package, func = factory.split(".")
+        design = getattr(importlib.import_module(f"repro.frontends.{package}"), func)()
+        traced.clear()
+        measure_design(design, use_cache=False)
+        assert len(self.spans(traced, "elaborate")) == 1
+        assert len(self.spans(traced, "synth")) == 1
+
+    def test_synth_pair_matches_two_synthesize_calls(self):
+        import dataclasses
+
+        from repro.rtl import elaborate
+        from repro.synth import synthesize, synthesize_pair
+
+        for key, build in PAIRS.items():
+            for design in build():
+                netlist = elaborate(design.top)
+                pair = synthesize_pair(netlist)
+                single = (synthesize(netlist), synthesize(netlist, max_dsp=0))
+                assert [dataclasses.asdict(r) for r in pair] == \
+                    [dataclasses.asdict(r) for r in single], (key, design.name)
+
+    def test_cached_netlist_feeds_the_simulator(self, tmp_path, traced):
+        # A cache holding the netlist but no measured artifact for this
+        # engine (as after an engine switch) must simulate the unpickled
+        # netlist and measure exactly what an uncached run measures.
+        from repro.cache import ArtifactCache, activate
+        from repro.eval.measure import clear_measure_cache
+        from repro.frontends.vlog import verilog_initial
+
+        design = verilog_initial()
+        fresh = measure_design(design, n_matrices=2, use_cache=False,
+                               engine="batch")
+        cache = ArtifactCache(tmp_path / "c")
+        with activate(cache):
+            measure_design(design, n_matrices=2, engine="compiled")
+            clear_measure_cache()
+            traced.clear()
+            cached = measure_design(design, n_matrices=2, engine="batch")
+        assert self.spans(traced, "elaborate") == []  # netlist came from disk
+        assert cached.to_dict() == fresh.to_dict()
+
+
 class TestTable2:
     @pytest.fixture(scope="class")
     def table(self):

@@ -13,6 +13,7 @@ from repro.rtl.ir import (
     Cat,
     Const,
     Ext,
+    MemRead,
     Mux,
     Ref,
     Signal,
@@ -177,6 +178,112 @@ class TestStructuralQueries:
         assert expr_size(Const(0, 1)) == 1
         expr = BinOp(BinOpKind.ADD, Const(0, 4), Const(0, 4))
         assert expr_size(expr) == 3
+
+
+# ----------------------------------------------------------------------
+# path explosion: structural passes must be linear in distinct nodes
+# ----------------------------------------------------------------------
+
+DIAMOND_DEPTH = 48  # 2**48 root-to-leaf paths, 2 * 48 + 4 distinct nodes
+
+
+def _diamond(a, addr, mem, depth, share=True):
+    """``x ^= x >> 1``, ``depth`` times, over ``mem[addr] ^ a``.
+
+    With ``share`` every level reads the previous node object twice (a
+    chained diamond); without it each use gets a fresh copy (a tree).
+    """
+    def base():
+        return BinOp(BinOpKind.XOR, MemRead(mem, Ref(addr)), Ref(a))
+
+    def level(n):
+        if n == 0:
+            return base()
+        if share:
+            x = level(n - 1)
+            return BinOp(BinOpKind.XOR, x, BinOp(BinOpKind.LSHR, x, Const(1, 2)))
+        return BinOp(BinOpKind.XOR, level(n - 1),
+                     BinOp(BinOpKind.LSHR, level(n - 1), Const(1, 2)))
+
+    return level(depth)
+
+
+def _diamond_module(depth=DIAMOND_DEPTH):
+    from repro.rtl import Module
+
+    m = Module("diamond")
+    a = m.input("a", 16)
+    addr = m.input("addr", 4)
+    y = m.output("y", 16)
+    mem = m.memory("rom", 16, 16, init=[(i * 0x2F1B) & 0xFFFF for i in range(16)])
+    m.assign(y, _diamond(a, addr, mem, depth))
+    return m
+
+
+def _reference(a, word, depth=DIAMOND_DEPTH):
+    x = word ^ a
+    for _ in range(depth):
+        x ^= x >> 1
+    return x
+
+
+class TestPathExplosion:
+    """A chained diamond has 2**depth paths but few distinct nodes."""
+
+    BUDGET_S = 1.0
+
+    def timed(self, fn, *args, **kwargs):
+        import time
+
+        t0 = time.perf_counter()
+        result = fn(*args, **kwargs)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < self.BUDGET_S, f"{fn.__name__} took {elapsed:.2f} s"
+        return result
+
+    def test_walks_visit_each_node_once(self):
+        from repro.rtl.ir import expr_mem_reads
+
+        from repro.rtl import Memory
+
+        a, addr = Signal("a", 16), Signal("addr", 4)
+        mem = Memory("rom", 16, 16)
+        dag = _diamond(a, addr, mem, DIAMOND_DEPTH)
+        tree = _diamond(a, addr, mem, 3, share=False)
+
+        assert self.timed(expr_signals, dag) == expr_signals(tree) == {a, addr}
+        dag_reads = self.timed(expr_mem_reads, dag)
+        tree_reads = expr_mem_reads(tree)
+        assert len(dag_reads) == 1  # the one MemRead node, listed once
+        assert len(tree_reads) == 8  # eight distinct copies in the tree
+        assert {r.memory for r in dag_reads} == {r.memory for r in tree_reads} == {mem}
+
+    def test_walk_keeps_first_visit_order(self):
+        a, b, c = Signal("a", 4), Signal("b", 4), Signal("c", 4)
+        shared = BinOp(BinOpKind.ADD, Ref(b), Ref(a))
+        expr = Cat((shared, Ref(c), shared))
+        assert list(expr_signals(expr)) == list({b, a, c})
+
+    def test_netlist_passes_are_linear(self):
+        from repro.rtl import elaborate
+        from repro.sim import Simulator
+        from repro.sim.compile import compile_netlist
+        from repro.synth import synthesize
+
+        netlist = self.timed(elaborate, _diamond_module())
+        self.timed(netlist.validate)
+        order = self.timed(netlist.comb_order)
+        assert [sig.name for sig, _expr in order] == ["y"]
+        self.timed(compile_netlist, netlist)
+        report = self.timed(synthesize, netlist)
+        assert report.n_lut > 0
+
+        sim = Simulator(netlist)
+        mem = netlist.memories[0]
+        for a, addr in ((0, 0), (0x1234, 5), (0xFFFF, 15)):
+            sim.poke("a", a)
+            sim.poke("addr", addr)
+            assert sim.peek_int("y") == _reference(a, mem.init[addr])
 
 
 class TestOpsHelpers:
