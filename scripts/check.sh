@@ -27,7 +27,7 @@ step python scripts/bench_gate.py
 echo "== resilience smoke: injected fault must fail the verifier =="
 step python -m repro faults verilog-initial --smoke
 
-echo "== resilience smoke: checkpointed fig1 kill -> resume -> identical =="
+echo "== resilience smoke: checkpointed fig1 kill -> torn tail -> resume -> identical =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 step python -m repro fig1 > "$tmp/fresh.txt"
@@ -37,9 +37,29 @@ if step env REPRO_ABORT_AFTER=4 python -m repro fig1 \
   exit 1
 fi
 test -s "$tmp/ck.jsonl"
+# A SIGKILL mid-append leaves the last record cut: resume must drop it
+# and measure that design again.
+step python - "$tmp/ck.jsonl" <<'EOF'
+import sys
+path = sys.argv[1]
+data = open(path, "rb").read()
+start = data.rstrip(b"\n").rfind(b"\n") + 1
+open(path, "wb").write(data[:start + (len(data) - start) // 2])
+EOF
+cp "$tmp/ck.jsonl" "$tmp/ck_torn.jsonl"
 step python -m repro fig1 \
     --checkpoint "$tmp/ck.jsonl" --resume > "$tmp/resumed.txt"
 cmp "$tmp/fresh.txt" "$tmp/resumed.txt"
+# --metrics adds a "wrote metrics" line to stdout, so it runs on its own.
+step python -m repro fig1 --checkpoint "$tmp/ck_torn.jsonl" --resume \
+    --metrics "$tmp/torn_metrics.json" > /dev/null
+step python - "$tmp/torn_metrics.json" <<'EOF'
+import json, sys
+payload = json.load(open(sys.argv[1]))
+torn = payload["metrics"]["counters"].get("log.torn", 0)
+assert torn == 1, f"expected one torn checkpoint record, got {torn}"
+print(f"log.torn = {torn}")
+EOF
 echo "ok"
 
 echo "== exec smoke: fig1 --jobs 2 byte-identical to serial =="

@@ -516,25 +516,13 @@ def _format_event(event: dict) -> str:
 
 
 def _cmd_obs_tail(args) -> int:
-    import json
+    from .core import jsonl
 
     try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+        events = jsonl.read(args.file)
     except OSError as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
-    events = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line)
-        except ValueError:
-            continue  # torn final line from a crashed writer
-        if isinstance(event, dict):
-            events.append(event)
     if args.type:
         events = [e for e in events if e.get("type") == args.type]
     if args.limit:
@@ -545,25 +533,21 @@ def _cmd_obs_tail(args) -> int:
 
 
 def _cmd_obs_tree(args) -> int:
-    import json
-
+    from .core import jsonl
     from .obs.report import render_tree
     from .obs.trace import SpanRecord
 
-    records = []
     try:
-        with open(args.trace, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(SpanRecord.from_dict(json.loads(line)))
-                except (ValueError, KeyError):
-                    continue
+        data = jsonl.read(args.trace)
     except OSError as exc:
         print(f"cannot read {args.trace}: {exc}", file=sys.stderr)
         return 2
+    records = []
+    for span in data:
+        try:
+            records.append(SpanRecord.from_dict(span))
+        except KeyError:
+            continue  # a record that is not a span
     print(render_tree(records, args.trace_id))
     return 0
 

@@ -49,7 +49,7 @@ from ..core.errors import WorkerCrashError
 from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..resilience.checkpoint import SCHEMA_VERSION
+from ..resilience.checkpoint import make_record
 from ..resilience.errors import failure_record
 from ..resilience.runner import DesignResult, SweepRunner, result_from_record
 from .executor import DEFAULT_MAX_TASKS_PER_CHILD, POISON_ATTEMPTS, PoolExecutor
@@ -206,10 +206,8 @@ class ParallelSweepRunner(SweepRunner):
                 "build_error": error, "name": None, "config": label,
                 "record": None}
         else:
-            self._prefetched[design.name] = {
-                "schema": SCHEMA_VERSION, "design": design.name,
-                "status": "failed", "measured": None, "error": error,
-                "attempts": crashes, "degraded": False}
+            self._prefetched[design.name] = make_record(
+                design.name, status="failed", error=error, attempts=crashes)
 
     def _merge(self, results: list[dict | None],
                under: int | None = None) -> None:

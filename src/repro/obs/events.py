@@ -11,7 +11,7 @@ timestamp, a ``type`` from a small vocabulary (``cell.done``,
 The log is the substrate for three consumers:
 
 * the ``obs tail`` CLI reads the JSONL file an attached sink appends to
-  (``--events PATH`` on sweeps, ``--event-log`` on serve);
+  (``--events PATH`` on ``table2`` and ``fig1``);
 * ``GET /v1/jobs/<id>/events`` streams per-job events live (the
   :class:`~repro.serve.jobs.JobManager` subscribes and scopes);
 * sharded sweep workers ship their buffers back for a deterministic
@@ -26,12 +26,12 @@ the compute thread concurrently).
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
 
+from ..core import jsonl
 from .trace import TRACER, enabled
 
 __all__ = ["EventLog", "EVENTS", "emit", "clear"]
@@ -44,7 +44,7 @@ class EventLog:
         self._lock = threading.Lock()
         self._events: deque[dict] = deque(maxlen=capacity)
         self._seq = 0
-        self._file = None
+        self._sink: jsonl.Appender | None = None
         self._subscribers: list = []
         self._scope = threading.local()
 
@@ -74,9 +74,8 @@ class EventLog:
             self._seq += 1
             event["seq"] = self._seq
             self._events.append(event)
-            if self._file is not None:
-                self._file.write(json.dumps(event, sort_keys=True) + "\n")
-                self._file.flush()
+            if self._sink is not None:
+                self._sink.append(event)
             subscribers = list(self._subscribers)
         for callback in subscribers:
             callback(event)
@@ -125,16 +124,14 @@ class EventLog:
 
     # -- file sink -----------------------------------------------------
     def attach(self, path) -> None:
-        """Append every subsequent event to ``path`` as JSON lines."""
-        self.detach()
+        """Append every subsequent event to ``path`` (flushed, not synced)."""
+        sink = jsonl.Appender(path, fsync=False)
         with self._lock:
-            self._file = open(path, "a", encoding="utf-8")
+            self._sink = sink
 
     def detach(self) -> None:
         with self._lock:
-            if self._file is not None:
-                self._file.close()
-                self._file = None
+            self._sink = None
 
     # -- inspection / export -------------------------------------------
     def events(self, **filters) -> list[dict]:
@@ -163,11 +160,7 @@ class EventLog:
 
     def export_jsonl(self, path) -> int:
         """Write all retained events as JSON lines; returns the count."""
-        events = self.events()
-        with open(path, "w", encoding="utf-8") as handle:
-            for event in events:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
-        return len(events)
+        return jsonl.write(path, self.events())
 
 
 EVENTS = EventLog()

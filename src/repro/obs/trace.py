@@ -19,11 +19,12 @@ disabled-mode overhead is a single global read per call site.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
+
+from ..core import jsonl
 
 __all__ = [
     "SpanRecord",
@@ -315,16 +316,11 @@ class Tracer:
         return len(records)
 
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(rec.to_dict(), sort_keys=True)
-                         for rec in self._events)
+        return "".join(jsonl.dumps(rec.to_dict()) for rec in self._events)
 
     def export_jsonl(self, path) -> int:
         """Write all records as JSON lines; returns the record count."""
-        text = self.to_jsonl()
-        with open(path, "w", encoding="utf-8") as handle:
-            if text:
-                handle.write(text + "\n")
-        return len(self._events)
+        return jsonl.write(path, (rec.to_dict() for rec in self._events))
 
 
 TRACER = Tracer()

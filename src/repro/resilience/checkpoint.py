@@ -1,12 +1,13 @@
 """JSONL checkpoint store for interruptible, resumable sweeps.
 
 Each completed design measurement (or recorded failure) is appended as one
-JSON line and flushed immediately, so a sweep killed at any point loses at
-most the design in flight.  Resuming replays the stored records instead of
-re-measuring, which makes an interrupted-then-resumed ``table2``/``fig1``
-run byte-identical to an uninterrupted one: every number in the rendered
-output round-trips exactly through JSON (Python floats serialize via
-``repr`` and parse back to the same bits).
+:mod:`repro.core.jsonl` record and fsynced immediately, so a sweep killed
+at any point, mid-append included, loses at most the design in flight.
+Resuming replays the stored records instead of re-measuring, which makes
+an interrupted-then-resumed ``table2``/``fig1`` run byte-identical to an
+uninterrupted one: every number in the rendered output round-trips
+exactly through JSON (Python floats serialize via ``repr`` and parse
+back to the same bits).
 
 Record schema (one object per line)::
 
@@ -18,56 +19,46 @@ Record schema (one object per line)::
 
 from __future__ import annotations
 
-import json
 import os
 
+from ..core import jsonl
 from ..eval.measure import Measured
 
-__all__ = ["SCHEMA_VERSION", "Checkpoint", "measured_to_dict",
-           "measured_from_dict"]
+__all__ = ["SCHEMA_VERSION", "Checkpoint", "make_record"]
 
 SCHEMA_VERSION = 1
 
 
-def measured_to_dict(measured: Measured) -> dict:
-    """Flatten a :class:`Measured` into JSON-ready primitives."""
-    return measured.to_dict()
-
-
-def measured_from_dict(data: dict) -> Measured:
-    """Rebuild a :class:`Measured` from its checkpoint form."""
-    return Measured.from_dict(data)
+def make_record(design: str, *, status: str,
+                measured: Measured | None = None, error: dict | None = None,
+                attempts: int = 1, degraded: bool = False) -> dict:
+    """One result in the record schema above."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "design": design,
+        "status": status,
+        "measured": None if measured is None else measured.to_dict(),
+        "error": error,
+        "attempts": attempts,
+        "degraded": degraded,
+    }
 
 
 class Checkpoint:
     """Append-only JSONL store of per-design sweep results.
 
-    ``resume=True`` loads any existing records before appending;
+    ``resume=True`` loads any existing intact records before appending;
     ``resume=False`` truncates, starting a fresh sweep.
     """
 
     def __init__(self, path: str | os.PathLike, resume: bool = False) -> None:
         self.path = os.fspath(path)
         self._records: dict[str, dict] = {}
-        if resume:
-            self._load()
-        else:
-            # Truncate: a fresh sweep must not inherit stale results.
-            with open(self.path, "w", encoding="utf-8"):
-                pass
-
-    def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if record.get("schema") != SCHEMA_VERSION:
-                    continue
-                self._records[record["design"]] = record
+        if resume and os.path.exists(self.path):
+            for record in jsonl.read(self.path):
+                if record.get("schema") == SCHEMA_VERSION:
+                    self._records[record["design"]] = record
+        self._log = jsonl.Appender(self.path, fresh=not resume)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -83,23 +74,10 @@ class Checkpoint:
     def get(self, design: str) -> dict | None:
         return self._records.get(design)
 
-    def record(self, design: str, *, status: str,
-               measured: Measured | None = None,
-               error: dict | None = None,
-               attempts: int = 1, degraded: bool = False) -> dict:
-        """Append one result line and flush it to disk immediately."""
-        entry = {
-            "schema": SCHEMA_VERSION,
-            "design": design,
-            "status": status,
-            "measured": None if measured is None else measured_to_dict(measured),
-            "error": error,
-            "attempts": attempts,
-            "degraded": degraded,
-        }
+    def record(self, design: str, **fields) -> dict:
+        """Append one result (``fields`` as for :func:`make_record`),
+        fsynced to disk before returning."""
+        entry = make_record(design, **fields)
         self._records[design] = entry
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        self._log.append(entry)
         return entry

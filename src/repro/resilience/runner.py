@@ -38,12 +38,7 @@ from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from . import budget as res_budget
-from .checkpoint import (
-    SCHEMA_VERSION,
-    Checkpoint,
-    measured_from_dict,
-    measured_to_dict,
-)
+from .checkpoint import Checkpoint, make_record
 from .errors import failure_record, failure_reason
 
 __all__ = ["RunnerConfig", "DesignResult", "SweepRunner", "ABORT_ENV",
@@ -101,16 +96,9 @@ def result_to_record(result: DesignResult) -> dict:
     a sharded-sweep worker ships its results over, so both round-trip
     measurements exactly (floats serialize via ``repr``).
     """
-    measured = result.measured
-    return {
-        "schema": SCHEMA_VERSION,
-        "design": result.name,
-        "status": result.status,
-        "measured": None if measured is None else measured_to_dict(measured),
-        "error": result.error,
-        "attempts": result.attempts,
-        "degraded": result.degraded,
-    }
+    return make_record(result.name, status=result.status,
+                       measured=result.measured, error=result.error,
+                       attempts=result.attempts, degraded=result.degraded)
 
 
 def result_from_record(record: dict, *,
@@ -120,7 +108,7 @@ def result_from_record(record: dict, *,
     return DesignResult(
         name=record["design"],
         status=record["status"],
-        measured=None if measured is None else measured_from_dict(measured),
+        measured=None if measured is None else Measured.from_dict(measured),
         error=record.get("error"),
         attempts=record.get("attempts", 1),
         degraded=record.get("degraded", False),

@@ -38,7 +38,7 @@ listed with the honest status ``interrupted`` (and an
 ``"interrupted": true`` marker that survives a later re-run), and —
 with ``resume=True`` (``--resume-jobs``) — interrupted jobs are
 re-submitted in id order.  A torn final line (the crash happened
-mid-append) is skipped, never fatal.
+mid-append) is dropped by the :mod:`repro.core.jsonl` log, never fatal.
 
 **Eviction.**  Terminal (``done``/``failed``) jobs are pruned once more
 than ``max_retained`` of them accumulate (oldest first), or once older
@@ -57,7 +57,6 @@ not yet durable.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import tempfile
 import threading
@@ -65,6 +64,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
+from ..core import jsonl
 from ..core.errors import SweepPreempted
 from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
@@ -173,17 +173,15 @@ class JobManager:
         self._last_session = None   # derived session of the running job
         self._ck_dir: str | None = None
         self._journal_path = os.fspath(journal) if journal else None
-        self._journal_file = None
-        last_id = 0
-        interrupted: list[Job] = []
-        if self._journal_path and os.path.exists(self._journal_path):
-            last_id, interrupted = self._replay()
-        self._ids = itertools.count(last_id + 1)
+        self._journal_log: jsonl.Appender | None = None
+        last_id, interrupted = 0, []
         if self._journal_path:
             parent = os.path.dirname(os.path.abspath(self._journal_path))
             os.makedirs(parent, exist_ok=True)
-            self._journal_file = open(self._journal_path, "a",
-                                      encoding="utf-8")
+            if os.path.exists(self._journal_path):
+                last_id, interrupted = self._replay()
+            self._journal_log = jsonl.Appender(self._journal_path)
+        self._ids = itertools.count(last_id + 1)
         self._scheduler = threading.Thread(
             target=self._loop, name="repro-serve-job", daemon=True)
         self._scheduler.start()
@@ -266,9 +264,7 @@ class JobManager:
         if timeout is None or timeout > 0:
             self._scheduler.join()
         with self._lock:
-            if self._journal_file is not None:
-                self._journal_file.close()
-                self._journal_file = None
+            self._journal_log = None
 
     def qos_snapshot(self) -> dict:
         """Queued/running job counts per tenant (``/healthz``)."""
@@ -323,68 +319,53 @@ class JobManager:
     # durability
     # ------------------------------------------------------------------
     def _journal(self, event: str, **fields) -> None:
-        """Append one event, flushed and fsynced before returning."""
-        if self._journal_file is None:
-            return
-        record = {"event": event, **fields}
+        """Append one event, fsynced before returning."""
         with self._lock:
-            if self._journal_file is None:  # drained concurrently
-                return
-            self._journal_file.write(
-                json.dumps(record, sort_keys=True) + "\n")
-            self._journal_file.flush()
-            os.fsync(self._journal_file.fileno())
+            if self._journal_log is not None:   # None: no journal, drained
+                self._journal_log.append({"event": event, **fields})
 
     def _replay(self) -> tuple[int, list[Job]]:
         """Rebuild job state from the journal; returns
         ``(highest_id, interrupted_jobs_in_order)``."""
         jobs: dict[str, Job] = {}
-        with open(self._journal_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    continue  # torn final line from a crashed server
-                job_id = event.get("id")
-                kind = event.get("event")
-                if not isinstance(job_id, str) or not isinstance(kind, str):
-                    continue
-                if kind == "submitted":
-                    priority = event.get("priority")
-                    jobs[job_id] = Job(
-                        id=job_id, kind=event.get("kind", "?"),
-                        params=event.get("params") or {},
-                        tenant=event.get("tenant") or "anon",
-                        priority=(int(priority)
-                                  if isinstance(priority, int) else 0))
-                    continue
-                job = jobs.get(job_id)
-                if job is None:
-                    continue
-                if kind == "running":
-                    job.status = "running"
-                    job.trace = event.get("trace") or job.trace
-                elif kind == "event":
-                    data = event.get("data")
-                    if isinstance(data, dict):
-                        job.events.append(data)
-                elif kind == "resumed":
-                    job.status = "queued"
-                    job.events = []
-                elif kind == "preempted":
-                    job.status = "queued"
-                    job.preemptions += 1
-                elif kind == "done":
-                    job.status = "done"
-                    job.output = event.get("output")
-                    job.summary = event.get("summary") or []
-                    job.error = None
-                elif kind == "failed":
-                    job.status = "failed"
-                    job.error = event.get("error")
+        for event in jsonl.read(self._journal_path):
+            job_id = event.get("id")
+            kind = event.get("event")
+            if not isinstance(job_id, str) or not isinstance(kind, str):
+                continue
+            if kind == "submitted":
+                priority = event.get("priority")
+                jobs[job_id] = Job(
+                    id=job_id, kind=event.get("kind", "?"),
+                    params=event.get("params") or {},
+                    tenant=event.get("tenant") or "anon",
+                    priority=(int(priority)
+                              if isinstance(priority, int) else 0))
+                continue
+            job = jobs.get(job_id)
+            if job is None:
+                continue
+            if kind == "running":
+                job.status = "running"
+                job.trace = event.get("trace") or job.trace
+            elif kind == "event":
+                data = event.get("data")
+                if isinstance(data, dict):
+                    job.events.append(data)
+            elif kind == "resumed":
+                job.status = "queued"
+                job.events = []
+            elif kind == "preempted":
+                job.status = "queued"
+                job.preemptions += 1
+            elif kind == "done":
+                job.status = "done"
+                job.output = event.get("output")
+                job.summary = event.get("summary") or []
+                job.error = None
+            elif kind == "failed":
+                job.status = "failed"
+                job.error = event.get("error")
         last_id = max((_job_seq(job) for job in jobs.values()), default=0)
         interrupted = []
         for job in jobs.values():

@@ -75,13 +75,13 @@ jobs, the journal, the breaker, and the batcher all stay in the parent.
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from ..core import jsonl
 from ..core.errors import BudgetExceeded, EvaluationError, WorkerCrashError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
@@ -755,8 +755,7 @@ class EvalServer:
             while True:
                 events = job.events
                 while sent < len(events):
-                    yield (json.dumps(events[sent], sort_keys=True)
-                           + "\n").encode("utf-8")
+                    yield jsonl.dumps(events[sent]).encode("utf-8")
                     sent += 1
                 if (job.status not in ("queued", "running")
                         and sent >= len(job.events)):

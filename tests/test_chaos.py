@@ -19,6 +19,7 @@ from repro.core.errors import EvaluationError, WorkerCrashError
 from repro.eval.experiments import render_fig1
 from repro.eval.measure import clear_measure_cache
 from repro.obs import metrics as obs_metrics
+from repro.qos import Tenant
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.jobs import JobManager
 
@@ -295,6 +296,49 @@ class TestJobJournal:
             assert job.status == "done"
             assert job.to_dict()["interrupted"] is True  # honest history
         resumed.drain()
+
+    def test_torn_tail_never_swallows_the_next_record(self, tmp_path):
+        """A crash mid-append leaves a partial last line.  The next
+        acknowledged record must not be glued onto it (and so lost at
+        the following restart)."""
+        journal = tmp_path / "jobs.jsonl"
+        manager = _StubJobManager(journal=journal)
+        _wait_terminal(manager, manager.submit("fig1", {}).id)
+        manager.drain()
+        data = journal.read_bytes()
+        journal.write_bytes(data[:-10])   # cut "done job-1" mid-line
+        restarted = _StubJobManager(journal=journal)
+        job = restarted.submit("table2", {}, tenant=Tenant("acme"),
+                               priority=3)
+        assert job.id == "job-2"
+        _wait_terminal(restarted, job.id)
+        restarted.drain()
+        reborn = _StubJobManager(journal=journal)
+        assert [j.id for j in reborn.list()] == ["job-1", "job-2"]
+        assert reborn.get("job-1").status == "interrupted"
+        job2 = reborn.get("job-2")
+        assert (job2.status, job2.tenant, job2.priority) == ("done", "acme", 3)
+        reborn.drain()
+
+        # A journal written before writers repaired torn tails can hold
+        # such a glued line mid-file; every valid record after it counts.
+        journal.write_text(
+            '{"event": "submitted", "id": "job-1", "kind": "fig1", '
+            '"params": {}}\n'
+            '{"event": "runni{"event": "submitted", "id": "job-2", '
+            '"kind": "fig1", "params": {}}\n'
+            '{"event": "submitted", "id": "job-3", "kind": "fig1", '
+            '"params": {}, "tenant": "acme", "priority": 2}\n'
+            '{"event": "running", "id": "job-3"}\n'
+            '{"event": "done", "id": "job-3", "output": "x", '
+            '"summary": []}\n')
+        replayed = _StubJobManager(journal=journal)
+        assert [j.id for j in replayed.list()] == ["job-1", "job-3"]
+        job3 = replayed.get("job-3")
+        assert (job3.status, job3.output, job3.tenant, job3.priority) \
+            == ("done", "x", "acme", 2)
+        assert replayed.submit("fig1", {}).id == "job-4"
+        replayed.drain()
 
     def test_failed_jobs_replay_as_failed(self, tmp_path):
         journal = tmp_path / "jobs.jsonl"

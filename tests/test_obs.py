@@ -547,6 +547,16 @@ class TestObsCliGroup:
         assert len(out) == 1
         assert "cell.done" in out[0] and "design=d2" in out[0]
 
+    def test_tail_counts_torn_line_and_leaves_file_alone(self, capsys,
+                                                         tmp_path):
+        path = self._events_file(tmp_path)
+        before = path.read_bytes()
+        obs.enable()
+        assert main(["obs", "tail", str(path)]) == 0
+        assert capsys.readouterr().out.count("\n") == 3
+        assert path.read_bytes() == before   # readers never repair
+        assert obs.metrics.snapshot()["counters"]["log.torn"] == 1
+
     def test_tail_missing_file(self, capsys, tmp_path):
         assert main(["obs", "tail", str(tmp_path / "nope.jsonl")]) == 2
 

@@ -16,13 +16,14 @@ from repro.core.errors import (
     SweepInterrupted,
 )
 from repro.resilience import budget as res_budget
-from repro.resilience.checkpoint import (
-    Checkpoint,
-    measured_from_dict,
-    measured_to_dict,
-)
+from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.errors import failure_reason, failure_record
-from repro.resilience.runner import DesignResult, RunnerConfig, SweepRunner
+from repro.resilience.runner import (
+    DesignResult,
+    RunnerConfig,
+    SweepRunner,
+    result_from_record,
+)
 
 
 # ----------------------------------------------------------------------
@@ -230,13 +231,15 @@ class TestSweepRunner:
 # ----------------------------------------------------------------------
 
 class TestCheckpoint:
-    def test_measured_round_trip_is_exact(self):
+    def test_measured_round_trip_is_exact(self, tmp_path):
         from repro.eval.measure import measure_design
         from repro.frontends.vlog import verilog_initial
 
         measured = measure_design(verilog_initial())
-        data = json.loads(json.dumps(measured_to_dict(measured)))
-        assert measured_from_dict(data) == measured
+        path = tmp_path / "ck.jsonl"
+        Checkpoint(path).record(measured.name, status="ok", measured=measured)
+        record = Checkpoint(path, resume=True).get(measured.name)
+        assert result_from_record(record).measured == measured
 
     def test_fresh_checkpoint_truncates(self, tmp_path):
         path = tmp_path / "ck.jsonl"
@@ -252,6 +255,30 @@ class TestCheckpoint:
         assert record["status"] == "failed"
         assert record["error"]["type"] == "ScheduleError"
         assert record["attempts"] == 3
+
+    def test_torn_last_record_is_dropped_at_every_offset(self, tmp_path):
+        """A SIGKILL mid-append leaves the last record cut at some byte.
+        Resume must keep exactly the intact records, the next record
+        must start on its own line, and a second resume must see it."""
+        whole = tmp_path / "whole.jsonl"
+        intact = Checkpoint(whole)
+        intact.record("a", status="ok", measured=_measured("a"))
+        intact.record("b", status="ok", measured=_measured("b"))
+        data = whole.read_bytes()
+        first = data.index(b"\n") + 1
+        path = tmp_path / "ck.jsonl"
+        for cut in range(first, len(data)):
+            path.write_bytes(data[:cut])
+            resumed = Checkpoint(path, resume=True)
+            assert resumed.names() == ["a"], cut
+            resumed.record("c", status="ok", measured=_measured("c"))
+            lines = path.read_bytes().splitlines(keepends=True)
+            assert lines[0] == data[:first], cut
+            assert [json.loads(line)["design"] for line in lines] \
+                == ["a", "c"], cut
+            again = Checkpoint(path, resume=True)
+            assert again.names() == ["a", "c"], cut
+            assert again.get("c")["measured"] == _measured("c").to_dict()
 
 
 # ----------------------------------------------------------------------
