@@ -67,10 +67,14 @@ step python -m repro fig1 --jobs 2 > "$tmp/parallel.txt"
 cmp "$tmp/fresh.txt" "$tmp/parallel.txt"
 echo "ok"
 
-echo "== engine smoke: fig1/verify --engine batch byte-identical to compiled =="
+echo "== engine smoke: fig1/table2/verify --engine batch byte-identical to compiled =="
 step python -m repro engines > /dev/null
 step python -m repro fig1 --engine batch > "$tmp/batch.txt"
 cmp "$tmp/fresh.txt" "$tmp/batch.txt"
+# table2 reaches the 12 streamed design points, which fig1 does not.
+step python -m repro table2 > "$tmp/t2_nocache.txt"
+step python -m repro table2 --engine batch > "$tmp/t2_batch.txt"
+cmp "$tmp/t2_nocache.txt" "$tmp/t2_batch.txt"
 step python -m repro verify verilog-opt --engine compiled > "$tmp/verify_c.txt"
 step python -m repro verify verilog-opt --engine batch > "$tmp/verify_b.txt"
 cmp "$tmp/verify_c.txt" "$tmp/verify_b.txt"
@@ -92,16 +96,19 @@ EOF
 echo "ok"
 
 echo "== elaborate-once smoke: cache-less table2 identical, one netlist per point =="
-step python -m repro table2 > "$tmp/t2_nocache.txt"
+# t2_nocache.txt is the cache-less run from the engine smoke.
 cmp "$tmp/t2_cold.txt" "$tmp/t2_nocache.txt"
 # --metrics adds a "wrote metrics" line to stdout, so it runs on its own.
 step python -m repro table2 --metrics "$tmp/t2_nocache_metrics.json" > /dev/null
 step python - "$tmp/t2_nocache_metrics.json" <<'EOF'
 import json, sys
 payload = json.load(open(sys.argv[1]))
-runs = payload["metrics"]["counters"].get("elaborate.runs", 0)
+counters = payload["metrics"]["counters"]
+runs = counters.get("elaborate.runs", 0)
 assert runs == 14, f"expected 14 elaborations (one per design point), got {runs}"
-print(f"elaborate.runs = {runs}")
+compiles = counters.get("sim.compile.netlists", 0)
+assert compiles == 14, f"expected 14 scalar compilations (one per design point), got {compiles}"
+print(f"elaborate.runs = {runs}, sim.compile.netlists = {compiles}")
 EOF
 echo "ok"
 

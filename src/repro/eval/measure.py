@@ -26,7 +26,7 @@ from ..synth import synthesize_pair
 from .loc import design_loc
 from .verify import verify_design
 
-__all__ = ["Measured", "measure_design", "clear_measure_cache"]
+__all__ = ["Measured", "measure_design", "clear_measure_cache", "design_netlist"]
 
 
 @dataclass
@@ -135,12 +135,13 @@ def measure_design(design: Design, n_matrices: int = 4,
     return measured
 
 
-def _netlist(design: Design) -> Netlist:
+def design_netlist(design: Design) -> Netlist:
     """The design point's one netlist: from the artifact cache or elaborated.
 
-    Simulation and synthesis both read it, so each point is elaborated at
-    most once.  Ports are driven by name, so an unpickled copy serves the
-    simulator as well as the freshly elaborated one.
+    Simulation and synthesis both read it, and so do the service's ``sim``
+    and ``batch`` engines, so each user elaborates a point at most once.
+    Ports are driven by name, so an unpickled copy serves the simulator as
+    well as the freshly elaborated one.
     """
     disk = artifact_cache.active()
     key = None
@@ -157,7 +158,7 @@ def _netlist(design: Design) -> Netlist:
 
 def _measure_stream(design: Design, n_matrices: int,
                     engine: str = "compiled") -> Measured:
-    netlist = _netlist(design)
+    netlist = design_netlist(design)
     run = verify_design(design, n_matrices=n_matrices,
                         simulator=Simulator(netlist, engine=engine))
     with_dsp, no_dsp = synthesize_pair(netlist)
@@ -188,7 +189,7 @@ def _measure_maxj(design: Design) -> Measured:
     from ..frontends.maxj import system_throughput, verify_maxj
 
     meta = design.meta["maxj"]
-    netlist = _netlist(design)
+    netlist = design_netlist(design)
     bit_exact = verify_maxj(design, random_matrices(3), netlist)
     with_dsp, no_dsp = synthesize_pair(netlist)
     manager = system_throughput(

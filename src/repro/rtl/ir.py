@@ -9,16 +9,20 @@ signed variants where the interpretation matters (``MULS``, ``SLT``,
 Two evaluators are provided and kept in lock-step by the test suite:
 
 * :func:`eval_expr` — a straightforward recursive interpreter, used as the
-  reference semantics and for cross-checking;
-* :func:`emit_py` — emits a Python expression string used by the compiled
-  simulator (:mod:`repro.sim`) for speed.
+  reference semantics (the ``interp`` engine) and for cross-checking;
+* :func:`emit_py_node` — Python code for one node given its operands'
+  code.  It is the *scalar lowering* of the simulator compiler
+  (:mod:`repro.sim.compile`), which calls it once per node so it can
+  hoist shared subexpressions; :func:`emit_py` is the plain recursion
+  over it for a whole tree.  The lane-packed lowering lives in
+  :mod:`repro.sim.batch`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..core.bits import to_signed
 from ..core.errors import WidthError
@@ -39,6 +43,7 @@ __all__ = [
     "Signal",
     "eval_expr",
     "emit_py",
+    "emit_py_node",
     "distinct_nodes",
     "expr_children",
     "expr_signals",
@@ -382,7 +387,7 @@ def _eval_unop(expr: UnOp, a: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Python code emission (used by the compiled simulator)
+# Python code emission (the scalar lowering of the simulator compiler)
 # ----------------------------------------------------------------------
 
 def emit_py(
@@ -390,23 +395,37 @@ def emit_py(
     ref_of: Callable[[Signal], str],
     mem_of: Callable[[object], str] | None = None,
 ) -> str:
-    """Emit a Python expression string computing ``expr``.
+    """Emit a Python expression string computing the whole tree ``expr``.
 
     ``ref_of`` maps a signal to the Python expression holding its unsigned
     value; ``mem_of`` maps a memory object to the Python name of its backing
     list.  The generated code may call the ``_sx(v, w)`` sign-extension
     helper, which the simulator defines in the compiled namespace.
     """
+    operands = [emit_py(child, ref_of, mem_of) for child in expr_children(expr)]
+    return emit_py_node(expr, operands, ref_of, mem_of)
+
+
+def emit_py_node(
+    expr: Expr,
+    operands: Sequence[str],
+    ref_of: Callable[[Signal], str],
+    mem_of: Callable[[object], str] | None = None,
+) -> str:
+    """Emit Python code for the one node ``expr``.
+
+    ``operands`` holds the code of the node's children, in
+    :func:`expr_children` order, so a caller can substitute hoisted
+    temporaries for shared children (the simulator compiler does).
+    """
     if isinstance(expr, Const):
         return repr(expr.value)
     if isinstance(expr, Ref):
         return ref_of(expr.signal)
     if isinstance(expr, BinOp):
-        a = emit_py(expr.a, ref_of, mem_of)
-        b = emit_py(expr.b, ref_of, mem_of)
-        return _emit_binop(expr, a, b)
+        return _emit_binop(expr, *operands)
     if isinstance(expr, UnOp):
-        a = emit_py(expr.a, ref_of, mem_of)
+        (a,) = operands
         msk = (1 << expr.a.width) - 1
         if expr.kind is UnOpKind.NOT:
             return f"(~({a}) & {msk})"
@@ -420,36 +439,31 @@ def emit_py(
             return f"(({a}).bit_count() & 1)"
         raise TypeError(f"unknown unop {expr.kind}")
     if isinstance(expr, Mux):
-        sel = emit_py(expr.sel, ref_of, mem_of)
-        t = emit_py(expr.if_true, ref_of, mem_of)
-        f = emit_py(expr.if_false, ref_of, mem_of)
+        sel, t, f = operands
         return f"(({t}) if ({sel}) else ({f}))"
     if isinstance(expr, Cat):
         pieces = []
         shift = expr.width
-        for part in expr.parts:
+        for part, code in zip(expr.parts, operands):
             shift -= part.width
-            code = emit_py(part, ref_of, mem_of)
             pieces.append(f"(({code}) << {shift})" if shift else f"({code})")
         return "(" + " | ".join(pieces) + ")"
     if isinstance(expr, Slice):
-        a = emit_py(expr.a, ref_of, mem_of)
+        (a,) = operands
         msk = (1 << expr.width) - 1
         if expr.lo == 0:
             return f"(({a}) & {msk})"
         return f"((({a}) >> {expr.lo}) & {msk})"
     if isinstance(expr, Ext):
-        a = emit_py(expr.a, ref_of, mem_of)
+        (a,) = operands
         if not expr.signed or expr.width == expr.a.width:
-            if expr.signed and expr.width == expr.a.width:
-                return f"({a})"
             return f"({a})"
         msk = (1 << expr.width) - 1
         return f"(_sx({a}, {expr.a.width}) & {msk})"
     if isinstance(expr, MemRead):
         if mem_of is None:
             raise WidthError("expression contains MemRead but no mem_of given")
-        addr = emit_py(expr.addr, ref_of, mem_of)
+        (addr,) = operands
         depth = expr.memory.depth  # type: ignore[attr-defined]
         return f"({mem_of(expr.memory)}[({addr}) % {depth}])"
     raise TypeError(f"unknown expression node {type(expr).__name__}")

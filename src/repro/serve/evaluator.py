@@ -91,17 +91,26 @@ class DesignEvaluator:
             raise EvaluationError(
                 f"{self.name} is not bit-exact against the golden model; "
                 f"refusing to serve it", design=self.name, phase="serve.warm")
+        self._netlist = None
         self._sim = None
         self._harness = None
         self._batch_runner = None
 
     # ------------------------------------------------------------------
+    def _get_netlist(self):
+        """The design's one netlist, shared by the ``sim`` and ``batch`` engines."""
+        if self._netlist is None:
+            from ..eval.measure import design_netlist
+
+            self._netlist = design_netlist(self.design)
+        return self._netlist
+
     def _sim_harness(self):
         if self._harness is None:
             from ..axis.harness import StreamHarness
             from ..sim import Simulator
 
-            self._sim = Simulator(self.design.top)
+            self._sim = Simulator(self._get_netlist())
             self._harness = StreamHarness(self._sim, self.design.spec)
         return self._harness
 
@@ -110,7 +119,7 @@ class DesignEvaluator:
             from ..sim.batch import BatchStreamRunner
 
             self._batch_runner = BatchStreamRunner(
-                self.design.top, self.design.spec, lanes=16)
+                self._get_netlist(), self.design.spec, lanes=16)
         return self._batch_runner
 
     # ------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Batch-vectorized netlist evaluation: B input blocks per settle/tick pass.
 
-The scalar compiled simulator (:mod:`repro.sim.compile`) walks one design
-instance per call.  This module compiles the *same* levelized netlist into a
-**lane-packed** evaluator: every signal holds ``B`` independent simulation
-lanes packed into one Python big integer at a fixed stride
+The scalar ``compiled`` engine walks one design instance per call.  This
+module holds the netlist compiler's second lowering, :class:`PackedLowering`:
+the compiler in :mod:`repro.sim.compile` (index maps, shared-subexpression
+hoisting, settle/tick assembly, ``exec``) turns the *same* levelized netlist
+into a **lane-packed** evaluator, where every signal holds ``B`` independent
+simulation lanes packed into one Python big integer at a fixed stride
 ``S = max_expression_width + 1``::
 
     packed(sig) = sum(lane_value[i] << (i * S) for i in range(B))
@@ -50,7 +52,6 @@ Three consumers sit on top of :func:`compile_batch`:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,11 +76,11 @@ from ..rtl.ir import (
     UnOpKind,
     _eval_binop,
     _eval_unop,
-    expr_children,
+    distinct_nodes,
     to_signed,
 )
 from ..rtl.module import Memory, Module
-from .compile import CompiledNetlist
+from .compile import CompiledNetlist, Emitter, compile_lowered
 
 __all__ = [
     "BatchCompiled",
@@ -136,7 +137,7 @@ def _mwr(mem, en: int, addr: int, data: int, lanes: int, stride: int,
 # ----------------------------------------------------------------------
 
 @dataclass(eq=False)
-class BatchCompiled:
+class BatchCompiled(CompiledNetlist):
     """The executable lane-packed form of a netlist.
 
     ``settle(values, mems)`` / ``tick(values, mems)`` mirror the scalar
@@ -146,41 +147,10 @@ class BatchCompiled:
     ``mems[mem_index][lane][address]``.
     """
 
-    netlist: Netlist
     lanes: int
     stride: int
     ones: int  # sum(1 << (i * stride)) — the packed all-lanes value 1
-    index_of: dict[Signal, int]
-    mem_index_of: dict[Memory, int]
-    settle: object
-    tick: object
-    source: str
 
-
-class _Pool:
-    """Interned big constants and fallback closures for the ``_K`` table."""
-
-    def __init__(self) -> None:
-        self.objs: list[object] = []
-        self._by_int: dict[int, int] = {}
-
-    def lit(self, value: int) -> str:
-        if -(1 << 32) < value < (1 << 32):
-            return repr(value)
-        idx = self._by_int.get(value)
-        if idx is None:
-            idx = len(self.objs)
-            self.objs.append(value)
-            self._by_int[value] = idx
-        return f"_K[{idx}]"
-
-    def fn(self, f) -> str:
-        idx = len(self.objs)
-        self.objs.append(f)
-        return f"_K[{idx}]"
-
-
-_ATOM = re.compile(r"^(?:[A-Za-z_]\w*|v\[\d+\]|_K\[\d+\]|\d+)$")
 
 _LOGIC_OPS = {BinOpKind.AND: "&", BinOpKind.OR: "|", BinOpKind.XOR: "^"}
 _SIGNED_TO_UNSIGNED = {
@@ -191,73 +161,54 @@ _SIGNED_TO_UNSIGNED = {
 }
 
 
-class _BatchEmitter:
-    """Shared-subexpression-aware emitter for lane-packed code."""
+class PackedLowering:
+    """The lane-packed lowering: ``lanes`` lanes per value at ``stride`` bits.
 
-    def __init__(self, index_of: dict[Signal, int],
-                 mem_index_of: dict[Memory, int],
-                 lanes: int, stride: int, pool: _Pool) -> None:
+    Big constants and per-lane fallback closures are interned in the
+    ``_K`` tuple of the compiled namespace, shared by settle and tick.
+    """
+
+    span = "sim.batch.compile"
+    metric = "sim.batch"
+    filename = "batch netlist"
+
+    def __init__(self, netlist: Netlist, index_of: dict[Signal, int],
+                 mem_index_of: dict[Memory, int], lanes: int) -> None:
         self._index_of = index_of
         self._mem_index_of = mem_index_of
-        self._lanes = lanes
-        self._stride = stride
-        self._ones = sum(1 << (i * stride) for i in range(lanes))
-        self._pool = pool
-        self._counts: dict[int, int] = {}
-        self._temp_of: dict[int, str] = {}
-        self._smear_of: dict[int, str] = {}
-        self._lines: list[str] = []
-        self._next_temp = 0
-
-    # -- analysis ------------------------------------------------------
-    def count(self, expr: Expr) -> None:
-        key = id(expr)
-        self._counts[key] = self._counts.get(key, 0) + 1
-        if self._counts[key] > 1:
-            return
-        for child in expr_children(expr):
-            self.count(child)
+        self.lanes = lanes
+        # One guard bit per lane.
+        self.stride = _max_expr_width(netlist, index_of) + 1
+        self.ones = sum(1 << (i * self.stride) for i in range(lanes))
+        self._objs: list[object] = []
+        self._obj_of_int: dict[int, int] = {}
+        self.header = [f"# batch-compiled netlist {netlist.name!r}: "
+                       f"lanes={lanes}, stride={self.stride}"]
+        self.attrs = {"lanes": lanes, "stride": self.stride}
 
     # -- constants -----------------------------------------------------
     def _lit(self, value: int) -> str:
-        return self._pool.lit(value)
+        if -(1 << 32) < value < (1 << 32):
+            return repr(value)
+        idx = self._obj_of_int.get(value)
+        if idx is None:
+            idx = self._obj_of_int[value] = len(self._objs)
+            self._objs.append(value)
+        return f"_K[{idx}]"
+
+    def _fn(self, f) -> str:
+        self._objs.append(f)
+        return f"_K[{len(self._objs) - 1}]"
 
     def _rep(self, value: int) -> str:
         """The packed constant with ``value`` in every lane."""
-        return self._lit(value * self._ones)
+        return self._lit(value * self.ones)
 
     def _rmask(self, width: int) -> str:
         """The packed all-lanes mask ``(1 << width) - 1``."""
         return self._rep((1 << width) - 1)
 
-    # -- emission ------------------------------------------------------
-    def _bind(self, code: str) -> str:
-        name = f"t{self._next_temp}"
-        self._next_temp += 1
-        self._lines.append(f"    {name} = {code}")
-        return name
-
-    def code_for(self, expr: Expr) -> str:
-        key = id(expr)
-        if key in self._temp_of:
-            return self._temp_of[key]
-        shared = (self._counts.get(key, 0) > 1
-                  and not isinstance(expr, (Const, Ref)))
-        code = self._emit(expr)
-        if shared:
-            if not _ATOM.match(code):
-                code = self._bind(code)
-            self._temp_of[key] = code
-        return code
-
-    def atom(self, expr: Expr) -> str:
-        """Like :meth:`code_for` but guaranteed safe to reference twice."""
-        code = self.code_for(expr)
-        if _ATOM.match(code):
-            return code
-        return self._bind(code)
-
-    def smear(self, sel: Expr) -> str:
+    def smear(self, em: Emitter, sel: Expr) -> str:
         """A per-lane mask temp: all-ones where ``sel``'s lane is 1.
 
         The mask fills the whole ``stride - 1``-bit lane field, so one
@@ -266,52 +217,65 @@ class _BatchEmitter:
         harmless — lane fields are exact).  ``(sel << k) - sel`` builds it
         with two linear bigint ops instead of a multiply.
         """
-        key = id(sel)
-        name = self._smear_of.get(key)
+        name = em.memo.get(id(sel))
         if name is None:
-            code = self.atom(sel)
-            name = self._bind(
-                f"(({code}) << {self._stride - 1}) - ({code})")
-            self._smear_of[key] = name
+            code = em.atom(sel)
+            name = em.memo[id(sel)] = em.bind(
+                f"(({code}) << {self.stride - 1}) - ({code})")
         return name
 
-    def statement(self, line: str) -> None:
-        self._lines.append(f"    {line}")
+    # -- the compiler's hooks ------------------------------------------
+    def enable(self, em: Emitter, next_code: str, en: Expr, current: str) -> str:
+        smear = self.smear(em, en)
+        return f"((({next_code}) ^ {current}) & {smear}) ^ {current}"
 
-    @property
-    def lines(self) -> list[str]:
-        return self._lines
+    def mem_write(self, name: str, mi: int, mem: Memory, write,
+                  en: str, addr: str, data: str) -> tuple[str, list[str]]:
+        la = self._lit((1 << write.addr.width) - 1)
+        ld = self._lit((1 << write.data.width) - 1)
+        msk = self._lit((1 << mem.width) - 1)
+        return (f"(({en}), ({addr}), ({data}))",
+                [f"    _mwr(mems[{mi}], *{name}, {self.lanes}, {self.stride}, "
+                 f"{la}, {ld}, {mem.depth}, {msk})"])
+
+    def namespace(self) -> dict[str, object]:
+        return {"_K": tuple(self._objs), "_pl1": _pl1, "_pl2": _pl2,
+                "_mrd": _mrd, "_mwr": _mwr}
+
+    def result(self, **fields) -> BatchCompiled:
+        return BatchCompiled(**fields, lanes=self.lanes, stride=self.stride,
+                             ones=self.ones)
 
     # -- node dispatch -------------------------------------------------
-    def _emit(self, expr: Expr) -> str:
+    def node(self, em: Emitter, expr: Expr) -> str:
         if isinstance(expr, Const):
             return self._rep(expr.value)
         if isinstance(expr, Ref):
             return f"v[{self._index_of[expr.signal]}]"
         if isinstance(expr, BinOp):
-            return self._emit_binop(expr)
+            return self._binop(em, expr)
         if isinstance(expr, UnOp):
-            return self._emit_unop(expr)
+            return self._unop(em, expr)
         if isinstance(expr, Mux):
-            smear = self.smear(expr.sel)
+            smear = self.smear(em, expr.sel)
             if isinstance(expr.if_false, Const) and expr.if_false.value == 0:
-                return f"(({self.code_for(expr.if_true)}) & {smear})"
+                return f"(({em.code_for(expr.if_true)}) & {smear})"
             if isinstance(expr.if_true, Const) and expr.if_true.value == 0:
-                f = self.atom(expr.if_false)
+                f = em.atom(expr.if_false)
                 return f"(({f}) ^ (({f}) & {smear}))"
-            t = self.code_for(expr.if_true)
-            f = self.atom(expr.if_false)
+            t = em.code_for(expr.if_true)
+            f = em.atom(expr.if_false)
             return f"(((({t}) ^ ({f})) & {smear}) ^ ({f}))"
         if isinstance(expr, Cat):
             pieces = []
             shift = expr.width
             for part in expr.parts:
                 shift -= part.width
-                code = self.code_for(part)
+                code = em.code_for(part)
                 pieces.append(f"(({code}) << {shift})" if shift else f"({code})")
             return "(" + " | ".join(pieces) + ")"
         if isinstance(expr, Slice):
-            a = self.code_for(expr.a)
+            a = em.code_for(expr.a)
             if expr.lo == 0:
                 return f"(({a}) & {self._rmask(expr.width)})"
             return f"((({a}) >> {expr.lo}) & {self._rmask(expr.width)})"
@@ -320,31 +284,31 @@ class _BatchEmitter:
             if not expr.signed or w == wa:
                 # Lane fields are already exact masked values, so both
                 # zero-extension and same-width reinterpretation are no-ops.
-                return self.code_for(expr.a)
-            a = self.atom(expr.a)
-            s = self._bind(f"((({a}) >> {wa - 1}) & {self._rep(1)})")
+                return em.code_for(expr.a)
+            a = em.atom(expr.a)
+            s = em.bind(f"((({a}) >> {wa - 1}) & {self._rep(1)})")
             return f"(({a}) | (({s} << {w}) - ({s} << {wa})))"
         if isinstance(expr, MemRead):
-            addr = self.code_for(expr.addr)
+            addr = em.code_for(expr.addr)
             mem = expr.memory
             la = self._lit((1 << expr.addr.width) - 1)
             msk = self._lit((1 << expr.width) - 1)
             return (f"_mrd(mems[{self._mem_index_of[mem]}], ({addr}), "
-                    f"{self._lanes}, {self._stride}, {la}, {mem.depth}, {msk})")
+                    f"{self.lanes}, {self.stride}, {la}, {mem.depth}, {msk})")
         raise TypeError(f"unknown expression node {type(expr).__name__}")
 
-    def _emit_binop(self, expr: BinOp) -> str:
+    def _binop(self, em: Emitter, expr: BinOp) -> str:
         kind, w = expr.kind, expr.width
         K = BinOpKind
         if kind is K.ADD:
-            a, b = self.code_for(expr.a), self.code_for(expr.b)
+            a, b = em.code_for(expr.a), em.code_for(expr.b)
             return f"(((({a}) + ({b}))) & {self._rmask(w)})"
         if kind is K.SUB:
-            a, b = self.code_for(expr.a), self.code_for(expr.b)
+            a, b = em.code_for(expr.a), em.code_for(expr.b)
             return (f"((((({a}) + {self._rep(1 << w)}) - ({b}))) "
                     f"& {self._rmask(w)})")
         if kind in _LOGIC_OPS:
-            a, b = self.code_for(expr.a), self.code_for(expr.b)
+            a, b = em.code_for(expr.a), em.code_for(expr.b)
             return f"(({a}) {_LOGIC_OPS[kind]} ({b}))"
         if kind is K.MUL:
             # A constant factor multiplies every lane in place: the full
@@ -356,10 +320,10 @@ class _BatchEmitter:
                 return self._rep((expr.a.value * expr.b.value)
                                  & ((1 << w) - 1))
             if isinstance(expr.b, Const):
-                return f"(({self.code_for(expr.a)}) * {expr.b.value})"
+                return f"(({em.code_for(expr.a)}) * {expr.b.value})"
             if isinstance(expr.a, Const):
-                return f"(({self.code_for(expr.b)}) * {expr.a.value})"
-            return self._fallback2(expr)
+                return f"(({em.code_for(expr.b)}) * {expr.a.value})"
+            return self._fallback2(em, expr)
         if kind is K.MULS:
             # Signed multiply by a constant, vectorized: with s the packed
             # sign bits of the variable operand and sc the signed constant,
@@ -379,38 +343,38 @@ class _BatchEmitter:
                 if sc == 0:
                     return self._rep(0)
                 wa = var.width
-                a = self.atom(var)
+                a = em.atom(var)
                 mag = abs(sc)
-                p = a if mag == 1 else self._bind(f"(({a}) * {self._lit(mag)})")
-                s = self._bind(f"((({a}) >> {wa - 1}) & {self._rep(1)})")
-                q = self._bind(f"(({s}) * {self._lit(mag << wa)})")
+                p = a if mag == 1 else em.bind(f"(({a}) * {self._lit(mag)})")
+                s = em.bind(f"((({a}) >> {wa - 1}) & {self._rep(1)})")
+                q = em.bind(f"(({s}) * {self._lit(mag << wa)})")
                 hi, lo = (q, p) if sc < 0 else (p, q)
                 return (f"(((({hi}) + {self._rep(1 << w)}) - ({lo})) "
                         f"& {self._rmask(w)})")
-            return self._fallback2(expr)
+            return self._fallback2(em, expr)
         if kind in (K.SHL, K.LSHR, K.ASHR):
             if not isinstance(expr.b, Const):
-                return self._fallback2(expr)
+                return self._fallback2(em, expr)
             c = expr.b.value
             if kind is K.SHL:
                 if c >= w:
                     return "0"
                 if c == 0:
-                    return self.code_for(expr.a)
-                a = self.code_for(expr.a)
+                    return em.code_for(expr.a)
+                a = em.code_for(expr.a)
                 return f"((({a}) & {self._rmask(w - c)}) << {c})"
             if kind is K.LSHR:
                 if c >= w:
                     return "0"
                 if c == 0:
-                    return self.code_for(expr.a)
-                a = self.code_for(expr.a)
+                    return em.code_for(expr.a)
+                a = em.code_for(expr.a)
                 return f"((({a}) >> {c}) & {self._rmask(w - c)})"
             shift = min(c, w - 1)
             if shift == 0:
-                return self.code_for(expr.a)
-            a = self.atom(expr.a)
-            s = self._bind(f"((({a}) >> {w - 1}) & {self._rep(1)})")
+                return em.code_for(expr.a)
+            a = em.atom(expr.a)
+            s = em.bind(f"((({a}) >> {w - 1}) & {self._rep(1)})")
             logical = f"((({a}) >> {shift}) & {self._rmask(w - shift)})"
             fill = f"(({s} << {w}) - ({s} << {w - shift}))"
             return f"({logical} | {fill})"
@@ -418,12 +382,12 @@ class _BatchEmitter:
         wa = expr.a.width
         if kind in _SIGNED_TO_UNSIGNED:
             bias = self._rep(1 << (wa - 1))
-            a = f"(({self.code_for(expr.a)}) ^ {bias})"
-            b = f"(({self.code_for(expr.b)}) ^ {bias})"
+            a = f"(({em.code_for(expr.a)}) ^ {bias})"
+            b = f"(({em.code_for(expr.b)}) ^ {bias})"
             kind = _SIGNED_TO_UNSIGNED[kind]
         else:
-            a = f"({self.code_for(expr.a)})"
-            b = f"({self.code_for(expr.b)})"
+            a = f"({em.code_for(expr.a)})"
+            b = f"({em.code_for(expr.b)})"
         one = self._rep(1)
         if kind is K.EQ:
             return (f"(((((({a}) ^ ({b})) + {self._rmask(wa)}) >> {wa}) "
@@ -441,9 +405,9 @@ class _BatchEmitter:
             return f"({uge})"
         return f"(({uge}) ^ {one})"
 
-    def _emit_unop(self, expr: UnOp) -> str:
+    def _unop(self, em: Emitter, expr: UnOp) -> str:
         kind, wa = expr.kind, expr.a.width
-        a = self.code_for(expr.a)
+        a = em.code_for(expr.a)
         one = self._rep(1)
         if kind is UnOpKind.NOT:
             return f"(({a}) ^ {self._rmask(wa)})"
@@ -455,49 +419,27 @@ class _BatchEmitter:
             return (f"((((((({a}) ^ {self._rmask(wa)})) + {self._rmask(wa)}) "
                     f">> {wa}) & {one}) ^ {one})")
         if kind is UnOpKind.REDXOR:
-            f = self._pool.fn(lambda x, _e=expr: _eval_unop(_e, x))
+            f = self._fn(lambda x, _e=expr: _eval_unop(_e, x))
             la = self._lit((1 << wa) - 1)
-            return f"_pl1(({a}), {self._lanes}, {self._stride}, {la}, {f})"
+            return f"_pl1(({a}), {self.lanes}, {self.stride}, {la}, {f})"
         raise TypeError(f"unknown unop {kind}")
 
-    def _fallback2(self, expr: BinOp) -> str:
-        a, b = self.code_for(expr.a), self.code_for(expr.b)
-        f = self._pool.fn(lambda x, y, _e=expr: _eval_binop(_e, x, y))
+    def _fallback2(self, em: Emitter, expr: BinOp) -> str:
+        a, b = em.code_for(expr.a), em.code_for(expr.b)
+        f = self._fn(lambda x, y, _e=expr: _eval_binop(_e, x, y))
         la = self._lit((1 << expr.a.width) - 1)
         lb = self._lit((1 << expr.b.width) - 1)
-        return (f"_pl2(({a}), ({b}), {self._lanes}, {self._stride}, "
+        return (f"_pl2(({a}), ({b}), {self.lanes}, {self.stride}, "
                 f"{la}, {lb}, {f})")
 
 
-def _max_expr_width(netlist: Netlist) -> int:
+def _max_expr_width(netlist: Netlist, signals) -> int:
     """The widest value anywhere in the design (signals and expressions)."""
+    widest = max((sig.width for sig in signals), default=1)
     seen: set[int] = set()
-    widest = 1
-
-    def walk(expr: Expr) -> None:
-        nonlocal widest
-        if id(expr) in seen:
-            return
-        seen.add(id(expr))
-        if expr.width > widest:
-            widest = expr.width
-        for child in expr_children(expr):
-            walk(child)
-
-    for _sig, expr in netlist.comb_order():
-        walk(expr)
-    for reg in netlist.registers:
-        walk(reg.next)
-        if reg.en is not None:
-            walk(reg.en)
-    for mem in netlist.memories:
-        for write in mem.writes:
-            walk(write.en)
-            walk(write.addr)
-            walk(write.data)
-    for sig in netlist.signals():
-        if sig.width > widest:
-            widest = sig.width
+    for root in netlist.roots():
+        for node in distinct_nodes(root, seen):
+            widest = max(widest, node.width)
     return widest
 
 
@@ -505,99 +447,7 @@ def compile_batch(netlist: Netlist, lanes: int) -> BatchCompiled:
     """Compile ``netlist`` into lane-packed ``settle``/``tick`` functions."""
     if lanes < 1:
         raise SimulationError(f"batch compilation needs lanes >= 1, got {lanes}")
-    with obs_trace.span("sim.batch.compile", netlist=netlist.name,
-                        lanes=lanes) as span:
-        return _compile_batch_traced(netlist, lanes, span)
-
-
-def _compile_batch_traced(netlist: Netlist, lanes: int, span) -> BatchCompiled:
-    signals = netlist.signals()
-    index_of = {sig: i for i, sig in enumerate(signals)}
-    mem_index_of = {mem: i for i, mem in enumerate(netlist.memories)}
-    ordered = netlist.comb_order()
-    stride = _max_expr_width(netlist) + 1  # one guard bit per lane
-    pool = _Pool()
-
-    # -- settle --------------------------------------------------------
-    settle_emit = _BatchEmitter(index_of, mem_index_of, lanes, stride, pool)
-    for _sig, expr in ordered:
-        settle_emit.count(expr)
-    for sig, expr in ordered:
-        code = settle_emit.code_for(expr)
-        settle_emit.statement(f"v[{index_of[sig]}] = {code}")
-    settle_body = settle_emit.lines or ["    pass"]
-
-    # -- tick ----------------------------------------------------------
-    tick_emit = _BatchEmitter(index_of, mem_index_of, lanes, stride, pool)
-    for reg in netlist.registers:
-        tick_emit.count(reg.next)
-        if reg.en is not None:
-            tick_emit.count(reg.en)
-    for mem in netlist.memories:
-        for write in mem.writes:
-            tick_emit.count(write.en)
-            tick_emit.count(write.addr)
-            tick_emit.count(write.data)
-
-    commit_lines: list[str] = []
-    for i, reg in enumerate(netlist.registers):
-        idx = index_of[reg.signal]
-        next_code = tick_emit.code_for(reg.next)
-        if reg.en is None:
-            tick_emit.statement(f"n{i} = {next_code}")
-        else:
-            smear = tick_emit.smear(reg.en)
-            tick_emit.statement(
-                f"n{i} = ((({next_code}) ^ v[{idx}]) & {smear}) ^ v[{idx}]")
-        commit_lines.append(f"    v[{idx}] = n{i}")
-    for mi, mem in enumerate(netlist.memories):
-        for wi, write in enumerate(mem.writes):
-            en_code = tick_emit.code_for(write.en)
-            addr_code = tick_emit.code_for(write.addr)
-            data_code = tick_emit.code_for(write.data)
-            la = tick_emit._lit((1 << write.addr.width) - 1)
-            ld = tick_emit._lit((1 << write.data.width) - 1)
-            msk = tick_emit._lit((1 << mem.width) - 1)
-            tick_emit.statement(
-                f"w{mi}_{wi} = (({en_code}), ({addr_code}), ({data_code}))")
-            commit_lines.append(
-                f"    _mwr(mems[{mi}], *w{mi}_{wi}, {lanes}, {stride}, "
-                f"{la}, {ld}, {mem.depth}, {msk})")
-    tick_body = (tick_emit.lines + commit_lines) or ["    pass"]
-
-    source = "\n".join(
-        [f"# batch-compiled netlist {netlist.name!r}: "
-         f"lanes={lanes}, stride={stride}",
-         "def settle(v, mems):"]
-        + settle_body
-        + ["", "def tick(v, mems):"]
-        + tick_body
-    )
-    namespace: dict[str, object] = {
-        "_K": tuple(pool.objs),
-        "_pl1": _pl1,
-        "_pl2": _pl2,
-        "_mrd": _mrd,
-        "_mwr": _mwr,
-    }
-    exec(compile(source, f"<batch netlist {netlist.name}>", "exec"), namespace)
-    if obs_trace.enabled():
-        n_lines = source.count("\n") + 1
-        obs_metrics.inc("sim.batch.netlists")
-        obs_metrics.observe("sim.batch.source_lines", n_lines)
-        span.set(signals=len(signals), lanes=lanes, stride=stride,
-                 source_lines=n_lines)
-    return BatchCompiled(
-        netlist=netlist,
-        lanes=lanes,
-        stride=stride,
-        ones=sum(1 << (i * stride) for i in range(lanes)),
-        index_of=index_of,
-        mem_index_of=mem_index_of,
-        settle=namespace["settle"],
-        tick=namespace["tick"],
-        source=source,
-    )
+    return compile_lowered(netlist, PackedLowering, lanes=lanes)
 
 
 def scalar_adapter(netlist: Netlist) -> CompiledNetlist:

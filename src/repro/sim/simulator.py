@@ -5,13 +5,14 @@
 clock.  Three evaluation engines (see :mod:`repro.engines`) share one
 semantics:
 
-* ``engine="compiled"`` (default) — generated Python via
-  :mod:`repro.sim.compile`, fast enough for system-level AXI-Stream runs;
+* ``engine="compiled"`` (default) — the netlist compiler of
+  :mod:`repro.sim.compile` with its scalar lowering (one Python int per
+  signal), fast enough for system-level AXI-Stream runs;
 * ``engine="interp"`` — the reference interpreter from
-  :mod:`repro.rtl.ir`, used to cross-check the compilers in tests;
-* ``engine="batch"`` — the lane-packed compiler from
-  :mod:`repro.sim.batch` run at one lane, so single-block use sites can
-  exercise the exact code the batch runner executes.
+  :mod:`repro.rtl.ir`, used to cross-check both lowerings in tests;
+* ``engine="batch"`` — the same compiler with the lane-packed lowering
+  of :mod:`repro.sim.batch`, run at one lane, so single-block use sites
+  can exercise the exact code the batch runner executes.
 
 The simulation contract per clock cycle: poke inputs, (implicitly) settle
 combinational logic, observe outputs, then :meth:`step` commits registers
@@ -30,7 +31,7 @@ from ..resilience import budget as res_budget
 from ..rtl.elaborate import Netlist, elaborate
 from ..rtl.ir import Signal, eval_expr
 from ..rtl.module import Memory, Module
-from .compile import compile_netlist
+from .compile import compile_netlist, index_maps
 
 __all__ = ["Simulator"]
 
@@ -55,14 +56,18 @@ class Simulator:
             raise SimulationError(str(exc)) from exc
         self.netlist = design
         self.engine = engine
-        if engine == "batch":
-            from .batch import scalar_adapter
-
-            self._compiled = scalar_adapter(design)
+        if engine == "interp":
+            self._compiled = None
+            self._index_of, self._mem_index_of = index_maps(design)
         else:
-            self._compiled = compile_netlist(design)
-        self._index_of = self._compiled.index_of
-        self._mem_index_of = self._compiled.mem_index_of
+            if engine == "batch":
+                from .batch import scalar_adapter
+
+                self._compiled = scalar_adapter(design)
+            else:
+                self._compiled = compile_netlist(design)
+            self._index_of = self._compiled.index_of
+            self._mem_index_of = self._compiled.mem_index_of
         self._by_name = {sig.name: sig for sig in self._index_of}
         self._inputs = set(design.inputs)
         self._values: list[int] = [0] * len(self._index_of)
@@ -253,4 +258,6 @@ class Simulator:
     @property
     def compiled_source(self) -> str:
         """The generated Python source (debugging aid)."""
+        if self._compiled is None:
+            raise SimulationError("the interp engine compiles no source")
         return self._compiled.source

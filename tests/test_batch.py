@@ -153,6 +153,53 @@ class TestSwarOps:
 
 
 # ---------------------------------------------------------------------------
+# compile spans: perfbench reads its per-layer compile metrics by these names
+# ---------------------------------------------------------------------------
+class TestCompileSpans:
+    @pytest.fixture
+    def traced(self):
+        from repro import obs
+
+        obs.disable()
+        obs.clear()
+        obs.enable()
+        yield obs
+        obs.disable()
+        obs.clear()
+
+    @staticmethod
+    def spans(obs, name):
+        return [r for r in obs.trace.events() if r.name == name]
+
+    def test_one_span_per_compilation_named_by_lowering(self, traced):
+        from repro.rtl import elaborate
+
+        netlist = elaborate(make_accumulator())
+        design = verilog_opt()
+        top = elaborate(design.top)
+        traced.clear()
+
+        Simulator(netlist, engine="compiled")
+        Simulator(netlist, engine="interp")
+        scalar = self.spans(traced, "sim.compile")
+        assert len(scalar) == 1
+        assert self.spans(traced, "sim.batch.compile") == []
+
+        compile_batch(netlist, lanes=3)
+        BatchStreamRunner(top, design.spec, lanes=2)
+        Simulator(netlist, engine="batch")
+        packed = self.spans(traced, "sim.batch.compile")
+        assert [span.attrs["lanes"] for span in packed] == [3, 2, 1]
+        assert len(self.spans(traced, "sim.compile")) == 1
+
+        for span in scalar + packed:
+            assert span.attrs["source_lines"] > 0
+        counters = traced.metrics.snapshot()["counters"]
+        assert counters["sim.compile.netlists"] == 1
+        assert counters["sim.batch.netlists"] == 3
+
+
+# ---------------------------------------------------------------------------
 # full design matrix: batch engine vs the interp oracle, every frontend
 # ---------------------------------------------------------------------------
 def _sim_designs():

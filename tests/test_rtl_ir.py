@@ -1,7 +1,7 @@
 """Tests for the RTL expression IR: width rules and both evaluators."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bits import to_signed
@@ -351,60 +351,157 @@ class TestOpsHelpers:
 
 
 # ----------------------------------------------------------------------
-# property tests: interpreter and compiled evaluator agree on random trees
+# property tests: every engine and both compiler lowerings agree with the
+# interpreter on random trees over every node kind
 # ----------------------------------------------------------------------
 
-_BINOPS = list(BinOpKind)
-_UNOPS = list(UnOpKind)
+_SAME_WIDTH = [BinOpKind.ADD, BinOpKind.SUB, BinOpKind.AND, BinOpKind.OR,
+               BinOpKind.XOR]
+_SHIFTS = [BinOpKind.SHL, BinOpKind.LSHR, BinOpKind.ASHR]
+_COMPARES = [BinOpKind.EQ, BinOpKind.NE, BinOpKind.ULT, BinOpKind.ULE,
+             BinOpKind.UGT, BinOpKind.UGE, BinOpKind.SLT, BinOpKind.SLE,
+             BinOpKind.SGT, BinOpKind.SGE]
+_REDUCTIONS = [UnOpKind.REDOR, UnOpKind.REDAND, UnOpKind.REDXOR]
+LANES = 5
+
+
+def test_generator_covers_every_operator_kind():
+    assert set(_SAME_WIDTH + _SHIFTS + _COMPARES
+               + [BinOpKind.MUL, BinOpKind.MULS]) == set(BinOpKind)
+    assert set(_REDUCTIONS + [UnOpKind.NOT, UnOpKind.NEG]) == set(UnOpKind)
+
+
+class _TreeBuilder:
+    """Draws expression DAGs whose leaves are constants or module inputs.
+
+    One input per width (``i<width>``) is created on first use, and a
+    node already built may be drawn again, so trees share subexpressions
+    and the compiler's hoisting is exercised too.
+    """
+
+    def __init__(self, draw, module):
+        self.draw = draw
+        self.module = module
+        self.inputs = {}
+        self.made = {}
+
+    def leaf(self, width):
+        if self.draw(st.booleans()):
+            sig = self.inputs.get(width)
+            if sig is None:
+                sig = self.inputs[width] = self.module.input(f"i{width}", width)
+            return Ref(sig)
+        return Const(self.draw(st.integers(0, 2**width - 1)), width)
+
+    def expr(self, width, depth):
+        if depth == 0:
+            return self.leaf(width)
+        shared = self.made.get(width)
+        if shared and self.draw(st.integers(0, 4)) == 0:
+            return self.draw(st.sampled_from(shared))
+        node = self.node(width, depth - 1)
+        self.made.setdefault(width, []).append(node)
+        return node
+
+    def node(self, width, depth):
+        draw, expr = self.draw, self.expr
+        if width == 1 and draw(st.integers(0, 2)):
+            operand_width = draw(st.integers(1, 8))
+            if draw(st.integers(0, 2)) == 0:
+                return UnOp(draw(st.sampled_from(_REDUCTIONS)),
+                            expr(operand_width, depth))
+            a = expr(operand_width, depth)
+            # Comparing a node with itself pins the equal-operands case.
+            b = a if draw(st.integers(0, 3)) == 0 else expr(operand_width, depth)
+            return BinOp(draw(st.sampled_from(_COMPARES)), a, b)
+        choice = draw(st.integers(0, 8))
+        if choice in (1, 6):
+            kind = draw(st.sampled_from(_SAME_WIDTH))
+            return BinOp(kind, expr(width, depth), expr(width, depth))
+        if choice == 2:
+            return Mux(expr(1, depth), expr(width, depth), expr(width, depth))
+        if choice == 3:
+            kind = draw(st.sampled_from([UnOpKind.NOT, UnOpKind.NEG]))
+            return UnOp(kind, expr(width, depth))
+        if choice == 4:  # shift by a constant or by a variable amount
+            kind = draw(st.sampled_from(_SHIFTS))
+            amount_width = draw(st.integers(1, 5))
+            if draw(st.booleans()):
+                amount = Const(draw(st.integers(0, 2**amount_width - 1)),
+                               amount_width)
+            else:
+                amount = expr(amount_width, depth)
+            return BinOp(kind, expr(width, depth), amount)
+        if choice == 5 and width >= 2:
+            kind = draw(st.sampled_from([BinOpKind.MUL, BinOpKind.MULS]))
+            wa = draw(st.integers(1, width - 1))
+            return BinOp(kind, expr(wa, depth), expr(width - wa, depth))
+        if choice == 7 and width >= 2:
+            cut = draw(st.integers(1, width - 1))
+            return Cat((expr(cut, depth), expr(width - cut, depth)))
+        if choice == 8:
+            lo = draw(st.integers(0, 3))
+            return Slice(expr(width + lo + draw(st.integers(0, 2)), depth),
+                         lo + width - 1, lo)
+        if choice == 0 and width >= 2:
+            inner = expr(draw(st.integers(1, width)), depth)
+            return Ext(inner, width, signed=draw(st.booleans()))
+        return self.leaf(width)
 
 
 @st.composite
-def random_expr(draw, depth=3):
-    width = draw(st.integers(1, 16))
-    return _random_expr_of_width(draw, width, depth)
+def random_tree(draw, depth=3):
+    """``(module, expr, inputs)``: ``module`` drives output ``y`` with ``expr``."""
+    from repro.rtl import Module
+
+    module = Module("tree")
+    builder = _TreeBuilder(draw, module)
+    expr = builder.expr(draw(st.integers(1, 16)), depth)
+    module.assign(module.output("y", expr.width), expr)
+    return module, expr, list(builder.inputs.values())
 
 
-def _random_expr_of_width(draw, width, depth):
-    if depth == 0:
-        return Const(draw(st.integers(0, 2**width - 1)), width)
-    choice = draw(st.integers(0, 5))
-    if choice == 0:
-        return Const(draw(st.integers(0, 2**width - 1)), width)
-    if choice == 1:  # same-width binop
-        kind = draw(st.sampled_from([BinOpKind.ADD, BinOpKind.SUB, BinOpKind.AND,
-                                     BinOpKind.OR, BinOpKind.XOR]))
-        a = _random_expr_of_width(draw, width, depth - 1)
-        b = _random_expr_of_width(draw, width, depth - 1)
-        return BinOp(kind, a, b)
-    if choice == 2:  # mux
-        sel = _random_expr_of_width(draw, 1, depth - 1)
-        a = _random_expr_of_width(draw, width, depth - 1)
-        b = _random_expr_of_width(draw, width, depth - 1)
-        return Mux(sel, a, b)
-    if choice == 3:  # unop
-        kind = draw(st.sampled_from([UnOpKind.NOT, UnOpKind.NEG]))
-        return UnOp(kind, _random_expr_of_width(draw, width, depth - 1))
-    if choice == 4 and width >= 2:  # slice of something wider
-        inner = _random_expr_of_width(draw, width + 3, depth - 1)
-        lo = draw(st.integers(0, 3))
-        return Slice(inner, lo + width - 1, lo)
-    # extension of something narrower
-    if width >= 2:
-        inner_width = draw(st.integers(1, width - 1))
-        inner = _random_expr_of_width(draw, inner_width, depth - 1)
-        return Ext(inner, width, signed=draw(st.booleans()))
-    return Const(draw(st.integers(0, 1)), width)
+def _draw_env(data, inputs):
+    return {sig.name: data.draw(st.integers(0, 2**sig.width - 1))
+            for sig in inputs}
 
 
-@given(random_expr())
-def test_compiled_matches_interpreter_on_random_trees(expr):
-    assert evaluate(expr) == evaluate_compiled(expr)
+@given(random_tree(), st.data())
+def test_compiled_matches_interpreter_on_random_trees(tree, data):
+    _module, expr, inputs = tree
+    env = _draw_env(data, inputs)
+    assert evaluate(expr, env) == evaluate_compiled(expr, env)
 
 
-@given(random_expr())
-def test_eval_result_fits_width(expr):
-    value = evaluate(expr)
+@given(random_tree(), st.data())
+def test_eval_result_fits_width(tree, data):
+    _module, expr, inputs = tree
+    value = evaluate(expr, _draw_env(data, inputs))
     assert 0 <= value < 2**expr.width
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_tree(), st.data())
+def test_every_engine_and_lowering_agree_on_random_trees(tree, data):
+    from repro.rtl import elaborate
+    from repro.sim import BatchSimulator, Simulator
+
+    module, expr, inputs = tree
+    netlist = elaborate(module)
+    envs = [_draw_env(data, inputs) for _ in range(LANES)]
+    packed = BatchSimulator(netlist, lanes=LANES)
+    for sig in inputs:
+        packed.poke_lanes(sig.name, [env[sig.name] for env in envs])
+    sims = [Simulator(netlist, engine=engine)
+            for engine in ("interp", "compiled", "batch")]
+    for lane, env in enumerate(envs):
+        got = {f"batch@{LANES}": packed.peek_lane("y", lane)}
+        for sim in sims:
+            for name, value in env.items():
+                sim.poke(name, value)
+            got[sim.engine] = sim.peek_int("y")
+        expected = evaluate(expr, env)
+        assert got == dict.fromkeys(got, expected), (lane, env)
 
 
 @given(st.integers(-(2**15), 2**15 - 1), st.integers(-(2**15), 2**15 - 1))

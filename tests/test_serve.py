@@ -256,6 +256,18 @@ class TestEvaluator:
         with pytest.raises(ValueError):
             session.idct(DESIGN, _blocks(1), engine="hopeful")
 
+    def test_sim_and_batch_engines_share_one_netlist(self, session):
+        from repro.serve.evaluator import DesignEvaluator
+
+        evaluator = DesignEvaluator(DESIGN, session=session)
+        blocks = _blocks(2)
+        expected = [chen_wang_idct(block) for block in blocks]
+        obs.enable()
+        assert evaluator.evaluate(blocks, engine="sim") == expected
+        assert evaluator.evaluate(blocks, engine="batch") == expected
+        elaborations = [r for r in obs.trace.events() if r.name == "elaborate"]
+        assert len(elaborations) == 1
+
     def test_non_bit_exact_design_is_refused(self, session, monkeypatch):
         from types import SimpleNamespace
 
