@@ -65,6 +65,10 @@ echo "ok"
 echo "== exec smoke: fig1 --jobs 2 byte-identical to serial =="
 step python -m repro fig1 --jobs 2 > "$tmp/parallel.txt"
 cmp "$tmp/fresh.txt" "$tmp/parallel.txt"
+# One task per worker process: every slot re-forks after each task.
+step python -m repro fig1 --jobs 2 --max-tasks-per-child 1 \
+    > "$tmp/recycled.txt"
+cmp "$tmp/fresh.txt" "$tmp/recycled.txt"
 echo "ok"
 
 echo "== engine smoke: fig1/table2/verify --engine batch byte-identical to compiled =="
@@ -416,11 +420,16 @@ for _ in $(seq 1 600); do
 done
 fabric_addr="$(sed -n 's/^serving on //p' "$tmp/fabric_serve.out" | head -n 1)"
 test -n "$fabric_addr"
-python -m repro work --master "$fabric_addr" --parallel 2 &
+# --once: each pull-worker exits after its first idle poll that follows
+# completed work, and a clean exit retires only that worker's slot, so
+# the fleet must exit 0 on its own without stranding a sibling's lease.
+timeout --kill-after=15 300 python -m repro work --master "$fabric_addr" \
+    --parallel 2 --once &
 work_pid=$!
 trap 'kill "$fabric_pid" "$work_pid" 2> /dev/null || true; rm -rf "$tmp"' EXIT
 step python -m repro fig1 --fabric "$fabric_addr" > "$tmp/fabric.txt"
 cmp "$tmp/fresh.txt" "$tmp/fabric.txt"
+wait "$work_pid"
 step python - "$fabric_addr" <<'EOF'
 import sys, urllib.request
 with urllib.request.urlopen(
@@ -429,12 +438,13 @@ with urllib.request.urlopen(
                  for line in resp.read().decode().splitlines()
                  if line and not line.startswith("#") and "{" not in line)
 leases = float(lines.get("repro_fabric_leases", 0))
+expiries = float(lines.get("repro_fabric_expiries", -1))
 assert leases > 0, "sweep completed without any fabric leases on the books"
-print(f"fabric: leases = {leases:g}")
+assert expiries == 0, f"{expiries:g} leases expired in a clean fabric run"
+print(f"fabric: leases = {leases:g}, expiries = {expiries:g}")
 EOF
 kill -TERM "$fabric_pid"
 wait "$fabric_pid"
-wait "$work_pid" 2> /dev/null || true
 echo "ok"
 
 echo "== chaos smoke: fabric workers SIGKILLed mid-lease stay honest =="

@@ -209,7 +209,7 @@ class Session:
     ----------
     jobs:
         Design points measured concurrently in sweeps; ``> 1`` shards
-        ``table2``/``fig1`` across a process pool
+        ``table2``/``fig1`` across forked worker processes
         (:class:`repro.exec.ParallelSweepRunner`) with stdout guaranteed
         byte-identical to a serial run.
     cache:
@@ -230,12 +230,12 @@ class Session:
     inject_faults:
         Design names (alias-aware) forced to fail, for resilience drills.
     max_tasks_per_child:
-        Recycle sweep pool workers after this many tasks each (bounds
+        Recycle sweep workers after this many tasks each (bounds
         worker memory on long-running services); ``None`` disables.
     chaos:
         A :class:`~repro.chaos.ChaosPolicy` or a ``--chaos`` spec string
         (``seed=3,kill=0.5,…``); active for this session's work,
-        including pool workers and the evaluation service.  A bad spec
+        including sweep workers and the evaluation service.  A bad spec
         raises :class:`UsageError` (CLI exit 2).
     preempt:
         QoS hook: a callable polled at every sweep-cell boundary (after
@@ -307,7 +307,7 @@ class Session:
             obs.clear()
             obs.enable()
             # One trace per session: every span/event this session's
-            # work records — in this process or in pool workers — is
+            # work records — in this process or in sweep workers — is
             # stamped with this id and assembles into one tree.
             self.trace_id = obs.trace.new_trace()
 

@@ -29,10 +29,10 @@ policy pays one global-load per site):
   batch's first attempt (the pool retries it once on a fresh worker),
   ``poison`` on both attempts (the request is quarantined → 503).
 
-The policy is plain picklable state: the parallel executor ships it to
-pool workers through the initializer — and the serve worker pool through
-its :class:`~repro.serve.pool.WorkerInit` — so every process agrees on
-which tasks are doomed.
+The policy is plain picklable state: sweep workers get it through their
+:class:`~repro.exec.worker.WorkerContext`, and the serve worker pool
+through its :class:`~repro.serve.pool.WorkerInit`, so every process
+agrees on which tasks are doomed.
 """
 
 from __future__ import annotations

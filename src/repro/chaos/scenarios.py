@@ -12,7 +12,7 @@ Scenarios
 ---------
 ``worker-kill``
     Parallel fig1 sweep under ``kill≈0.7`` (kill-once): most tasks
-    SIGKILL their pool worker on first attempt; supervision re-dispatches
+    SIGKILL their sweep worker on first attempt; supervision re-queues
     them and the output must come back byte-identical to a serial clean
     run, with ``worker_restarts > 0`` proving the crashes happened.
 ``cache-rot``

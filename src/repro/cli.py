@@ -67,9 +67,9 @@ Commands:
 design points across N worker processes; stdout stays byte-identical to
 a serial run), ``--fabric URL`` (route the sweep through a fabric
 master — a ``serve`` instance — and its ``work`` pull-workers instead
-of a local pool; the task-order merge keeps stdout byte-identical to
+of local workers; the task-order merge keeps stdout byte-identical to
 serial, and a lease that expires twice quarantines its design as an
-honest ``FAILED(…)`` cell exactly like a twice-crashed pool worker),
+honest ``FAILED(…)`` cell exactly like a twice-crashed local worker),
 ``--cache DIR`` (content-addressed artifact cache reused
 across runs and commands), ``--checkpoint PATH`` (JSONL progress log),
 ``--resume`` (skip designs already in the checkpoint), ``--inject-fault
@@ -82,13 +82,13 @@ observability exports:
 ``--trace PATH`` (span JSONL), ``--metrics PATH`` (metrics + phase
 timings JSON), ``--events PATH`` (structured event JSONL for ``obs
 tail``).  Any of the three turns instrumentation on; each sweep run
-mints one trace id that spans and events carry across pool workers.
+mints one trace id that spans and events carry across sweep workers.
 
 The ``--chaos`` grammar is ``key=value[,key=value...]`` with keys
 ``seed`` (int), ``kill`` / ``poison`` / ``corrupt`` / ``flaky``
 (probabilities in [0, 1]; ``kill``/``poison`` also accept ``@substr``
 to doom task ids containing the substring) and ``latency`` (seconds of
-injected evaluator delay).  ``kill`` SIGKILLs a task's pool worker on
+injected evaluator delay).  ``kill`` SIGKILLs a task's worker on
 the first attempt only (supervision recovers it), ``poison`` on every
 attempt (the task is quarantined as an explicit ``FAILED(…)`` cell),
 ``corrupt`` rots written cache artifacts on disk (the checksum footer
@@ -675,7 +675,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="same-config retries per design (default 1)")
         p.add_argument("--max-tasks-per-child", type=int, default=64,
                        metavar="T",
-                       help="recycle pool workers after T tasks each "
+                       help="recycle sweep workers after T tasks each "
                             "(bounds worker memory; 0 disables)")
         p.add_argument("--chaos", metavar="SPEC",
                        help="seeded fault injection, e.g. "
@@ -690,7 +690,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--fabric", metavar="URL",
                        help="route the sweep through a fabric master "
                             "(a `serve` instance) and its `work` "
-                            "pull-workers instead of a local pool; "
+                            "pull-workers instead of local workers; "
                             "output stays byte-identical to serial")
         p.add_argument("--api-key", metavar="KEY",
                        help="QoS tenant credential sent to the --fabric "

@@ -10,46 +10,43 @@ base and returns one entry per task, **in task order**:
   an honest ``FAILED(WorkerCrashError)`` cell;
 * ``None`` — nothing ran (only possible for executors that skip work).
 
-Executors own dispatch, supervision, and retry; the runner owns trace
-stamping, the deterministic task-order merge, checkpointing, and
-quarantine records.  :class:`PoolExecutor` is the in-process
-``ProcessPoolExecutor`` implementation (the PR 5 supervision loop,
-extracted verbatim); :class:`repro.fabric.client.FabricExecutor` is the
-distributed one.  Both honor the same crash arithmetic from
-:mod:`repro.resilience.supervise`, so "a worker died" means the same
-thing whether the worker was a forked child or a machine across the
-network.
+Executors own dispatch and supervision; the runner owns trace stamping,
+the deterministic task-order merge, checkpointing, and quarantine
+records.  Both executors hand the same wire sweep (:func:`sweep_payload`)
+to a :class:`~repro.exec.broker.TaskBroker` — :class:`LocalExecutor`
+to a private in-process one, :class:`repro.fabric.client.FabricExecutor`
+to a remote master — whose ``expire`` alone decides whether a dead
+worker's task re-queues or is quarantined, so "a worker died" means the
+same thing whether the worker was a forked child or a machine across
+the network.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
+import functools
+from dataclasses import asdict
 from typing import Protocol, runtime_checkable
 
 from ..core.errors import WorkerCrashError
 from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
-from ..obs import trace as obs_trace
-from ..resilience.supervise import backoff_delay, default_crash_budget
+from ..resilience.supervise import (
+    CrashBudget,
+    default_crash_budget,
+    supervise_fleet,
+)
+from .broker import TaskBroker
 from .tasks import SweepTask
 from . import worker as worker_mod
 
-__all__ = ["Executor", "PoolExecutor", "DEFAULT_MAX_TASKS_PER_CHILD",
-           "POISON_ATTEMPTS"]
+__all__ = ["Executor", "LocalExecutor", "DEFAULT_MAX_TASKS_PER_CHILD",
+           "sweep_payload", "task_outputs"]
 
-#: Tasks a pool worker may serve before the whole pool is recycled.
+#: Tasks a local worker may serve before it exits and its slot re-forks.
 #: Design builds memoize netlists and compiled simulators per process, so
 #: a long-lived worker grows monotonically; recycling bounds its footprint
-#: the way ``multiprocessing.Pool(maxtasksperchild=…)`` would, but without
-#: requiring a non-fork start method.
+#: the way ``multiprocessing.Pool(maxtasksperchild=…)`` would.
 DEFAULT_MAX_TASKS_PER_CHILD = 64
-
-#: A task that has cost this many worker crashes (pool deaths or lease
-#: expiries) is given one last chance; a crash there quarantines it as a
-#: poison task.
-POISON_ATTEMPTS = 2
 
 
 @runtime_checkable
@@ -57,8 +54,7 @@ class Executor(Protocol):
     """Dispatch a sweep's tasks somewhere; return outputs in task order."""
 
     #: Supervision counters the runner folds into its own stats after a
-    #: run: ``worker_restarts`` (crash/expiry rounds) and ``pools``
-    #: (process pools spun up; 0 for remote executors).
+    #: run: ``worker_restarts`` (worker deaths / lease expiries).
     stats: dict
 
     def run(self, tasks: list[SweepTask], base: dict,
@@ -71,139 +67,105 @@ class Executor(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def _pool_context():
-    """Prefer fork (cheap, library already imported); fall back otherwise."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
+def sweep_payload(tasks: list[SweepTask], base: dict) -> dict:
+    """The wire sweep a :class:`~repro.exec.broker.TaskBroker` accepts."""
+    return {
+        "tasks": [task.to_record() for task in tasks],
+        "config": asdict(base["config"]),
+        "inject": sorted(base["inject"]),
+        "skip": sorted(base["skip"]),
+        "trace": bool(base["trace"]),
+    }
 
 
-class PoolExecutor:
-    """The ``ProcessPoolExecutor``-backed executor with round supervision.
+def task_outputs(outcomes: list) -> list[dict | None]:
+    """Broker outcomes (``{"output": …}`` / ``{"crashed": n}``) as
+    :class:`Executor` results."""
+    return [None if not isinstance(outcome, dict)
+            else {"crashed": outcome["crashed"]} if outcome.get("crashed")
+            else outcome.get("output") for outcome in outcomes]
 
-    Pools are recycled every ``jobs * max_tasks_per_child`` tasks so that
-    no worker process ever serves more than ``max_tasks_per_child``
-    tasks.  A broken pool (a worker died) does not abort the sweep: its
-    unfinished tasks are re-dispatched in the next supervision round
-    after an exponential backoff, and a task whose attempts reach
-    :data:`POISON_ATTEMPTS` is probed once more in a **solo**
-    single-worker pool — if that pool dies too, the task alone is the
-    culprit and it is reported as a ``{"crashed": n}`` sentinel instead
-    of aborting the sweep.  Crashes are bounded by
-    ``max_worker_crashes`` (default ``2 * tasks + 8``); past that the
-    sweep fails honestly with
-    :class:`~repro.core.errors.WorkerCrashError`.
+
+class LocalExecutor:
+    """``--jobs N``: a private broker piping one lease at a time to each
+    of N forked workers.
+
+    Local leases never expire by clock: the fleet sees a worker die and
+    its lease is expired at once, so exactly the task that killed it is
+    charged an attempt.  A worker is sent ``None`` (a clean exit) after
+    ``max_tasks_per_child`` tasks, and its slot re-forks while tasks
+    remain.
     """
 
     def __init__(self, jobs: int = 2,
-                 max_tasks_per_child: int | None = DEFAULT_MAX_TASKS_PER_CHILD,
-                 crash_backoff_s: float = 0.05,
-                 max_worker_crashes: int | None = None) -> None:
+                 max_tasks_per_child: int | None = DEFAULT_MAX_TASKS_PER_CHILD
+                 ) -> None:
         self.jobs = max(1, int(jobs))
         self.max_tasks_per_child = (None if not max_tasks_per_child
                                     else max(1, int(max_tasks_per_child)))
-        self.crash_backoff_s = max(0.0, crash_backoff_s)
-        self.max_worker_crashes = max_worker_crashes
-        self.stats = {"worker_restarts": 0, "pools": 0}
+        #: ``workers`` counts forked worker processes.
+        self.stats = {"worker_restarts": 0, "workers": 0}
 
-    # ------------------------------------------------------------------
     def run(self, tasks: list[SweepTask], base: dict,
             context: "worker_mod.WorkerContext") -> list[dict | None]:
-        self._tasks = tasks
-        results: list[dict | None] = [None] * len(tasks)
-        attempts = [0] * len(tasks)
-        pending = list(range(len(tasks)))
-        crashes = 0
-        budget = (self.max_worker_crashes
-                  if self.max_worker_crashes is not None
-                  else default_crash_budget(len(tasks)))
-        while pending:
-            retry: list[int] = []
-            fresh = [i for i in pending if attempts[i] < POISON_ATTEMPTS]
-            suspect = [i for i in pending if attempts[i] >= POISON_ATTEMPTS]
-            if self.max_tasks_per_child is None:
-                stride = max(1, len(fresh))
-            else:
-                stride = self.jobs * self.max_tasks_per_child
-            for start in range(0, len(fresh), stride):
-                chunk = fresh[start:start + stride]
-                lost, broke = self._run_pool(chunk, self.jobs, base, context,
-                                             results, attempts)
-                if broke:
-                    crashes += 1
-                    self._note_crash(crashes, lost)
-                    for i in lost:
-                        attempts[i] += 1
-                    retry.extend(lost)
-            for i in suspect:
-                # Solo probe: one task, one worker.  A crash here is
-                # attributable beyond doubt — quarantine the task.
-                lost, broke = self._run_pool([i], 1, base, context,
-                                             results, attempts)
-                if broke:
-                    crashes += 1
-                    self._note_crash(crashes, lost)
-                    results[i] = {"crashed": attempts[i] + 1}
-            pending = retry
-            if crashes > budget:
-                raise WorkerCrashError(
-                    f"worker pool crashed {crashes} times "
-                    f"(budget {budget}); aborting sweep",
-                    phase="exec.supervise")
-        return results
+        broker = TaskBroker(lease_s=float("inf"), backoff_s=0.0)
+        sweep = broker.submit(sweep_payload(tasks, base))
+        running: dict[int, dict] = {}   # slot -> lease its worker measures
+        served: dict[int, int] = {}     # slot -> tasks its worker served
 
-    def _run_pool(self, indices: list[int], workers: int, base: dict,
-                  context, results: list,
-                  attempts: list[int]) -> tuple[list[int], bool]:
-        """Run one pool over ``indices``; ``(lost_indices, pool_broke)``.
+        def take(slot: int) -> dict | None:
+            leases = broker.lease(f"local-{slot}")
+            return leases[0] if leases else None
 
-        Successful task outputs land in ``results``; tasks the pool lost
-        (their worker died before the future resolved, so the executor
-        can only report ``BrokenProcessPool`` for every unfinished
-        future) come back for the supervision loop to re-dispatch.
-        """
-        pool = ProcessPoolExecutor(
-            max_workers=max(1, min(workers, len(indices))),
-            mp_context=_pool_context(),
-            initializer=worker_mod.init_worker,
-            initargs=(context,),
-        )
-        self.stats["pools"] += 1
-        broke = False
-        remaining = set(indices)
-        futures: dict = {}
-        try:
+        def send(slot: int, conn, lease: dict | None) -> None:
+            if lease is not None:
+                running[slot] = lease
             try:
-                for i in indices:
-                    payload = dict(base, task=self._tasks[i].to_record(),
-                                   attempt=attempts[i])
-                    futures[pool.submit(worker_mod.run_task, payload)] = i
-            except BrokenExecutor:
-                broke = True
-            for future in as_completed(futures):
-                i = futures[future]
-                try:
-                    results[i] = future.result()
-                except BrokenExecutor:
-                    broke = True
-                    continue
-                remaining.discard(i)
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        finally:
-            pool.shutdown(wait=True)
-        return sorted(remaining), broke
+                conn.send(lease)
+            except BrokenPipeError:
+                pass  # the worker died; its sentinel expires the lease
 
-    def _note_crash(self, crashes: int, lost: list[int]) -> None:
-        self.stats["worker_restarts"] += 1
-        obs_metrics.inc("exec.worker_restarts")
-        obs_trace.event("exec.worker_crash", crashes=crashes,
-                        lost=len(lost))
-        obs_events.emit("worker.restart", crashes=crashes, lost=len(lost),
-                        tasks=[worker_mod.task_id(self._tasks[i])
-                               for i in lost])
-        delay = backoff_delay(crashes, self.crash_backoff_s)
-        if delay:
-            time.sleep(delay)
+        def on_spawn(slot: int, conn) -> None:
+            self.stats["workers"] += 1
+            served[slot] = 0
+            send(slot, conn, take(slot))
+
+        def on_message(slot: int, conn, output: dict) -> None:
+            lease = running.pop(slot)
+            broker.result(lease["id"], f"local-{slot}", output)
+            served[slot] += 1
+            spent = (self.max_tasks_per_child is not None
+                     and served[slot] >= self.max_tasks_per_child)
+            send(slot, conn, None if spent else take(slot))
+
+        def on_crash(slot: int) -> None:
+            lost = running.pop(slot, None)
+            lost_ids = ([] if lost is None else [worker_mod.task_id(
+                tasks[broker.tasks[lost["id"]].index])])
+            broker.expire(worker=f"local-{slot}")
+            self.stats["worker_restarts"] += 1
+            crashes = self.stats["worker_restarts"]
+            obs_metrics.inc("exec.worker_restarts")
+            obs_events.emit("worker.restart", crashes=crashes,
+                            lost=len(lost_ids), tasks=lost_ids)
+            if tasks[0].kind == "fig1":
+                # Enumerate Fig. 1 in the parent (once; it is memoized),
+                # so this respawn and every later one inherit it instead
+                # of rebuilding it.
+                worker_mod._fig1_item(tasks[0])
+
+        def respawn(slot: int) -> bool:
+            # A spent worker's slot re-forks while tasks wait for a lease.
+            return (broker.status(sweep)["state"] == "running"
+                    and broker.snapshot()["pending"] > 0)
+
+        supervise_fleet(
+            min(self.jobs, len(tasks)),
+            functools.partial(worker_mod.serve_leases, context=context),
+            CrashBudget(default_crash_budget(len(tasks))),
+            on_spawn=on_spawn, on_message=on_message, on_crash=on_crash,
+            respawn=respawn)
+        info = broker.status(sweep)
+        if info["state"] == "failed":
+            raise WorkerCrashError(info["error"], phase="exec.supervise")
+        return task_outputs(broker.results(sweep))

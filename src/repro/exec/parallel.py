@@ -1,14 +1,15 @@
-"""Sharded sweep execution: a process-pool front-end over ``SweepRunner``.
+"""Sharded sweep execution: a multi-process front-end over ``SweepRunner``.
 
 :class:`ParallelSweepRunner` splits a sweep into two phases:
 
-1. **prefetch** — the task list is dispatched to a
-   ``ProcessPoolExecutor``; each worker builds and measures its design
-   point under the sweep's normal :class:`~repro.resilience.runner`
-   policy (budgets, retries, degraded final attempt, fault injection)
-   and ships back a checkpoint-schema record plus its obs buffers.
-   Worker outputs are merged **in task order**, not completion order, so
-   traces, metrics, and cache stats are deterministic.
+1. **prefetch** — the task list is dispatched to worker processes by an
+   :class:`~repro.exec.executor.Executor`; each worker builds and
+   measures its design point under the sweep's normal
+   :class:`~repro.resilience.runner` policy (budgets, retries, degraded
+   final attempt, fault injection) and ships back a checkpoint-schema
+   record plus its obs buffers.  Worker outputs are merged **in task
+   order**, not completion order, so traces, metrics, and cache stats
+   are deterministic.
 2. **consume** — the unchanged serial generators
    (:func:`~repro.eval.experiments.generate_table2` /
    :func:`~repro.eval.experiments.generate_fig1`) run as usual, but
@@ -25,14 +26,10 @@ and a resumed parallel sweep skips re-measuring checkpointed designs
 (workers still *build* them, in parallel, to learn their names).
 
 **Worker supervision.**  A worker process dying (SIGKILL, segfault, OOM
-kill — or a :class:`~repro.chaos.ChaosPolicy` drill) breaks the whole
-pool: every unfinished future raises ``BrokenProcessPool`` and the
-executor cannot attribute the crash to a task.  The prefetch loop
-therefore supervises in rounds: tasks lost to a broken pool are
-re-dispatched (fresh pool, exponential backoff, ``exec.worker_restarts``
-counted), and a task whose attempts reach :data:`POISON_ATTEMPTS` is
-probed once more in a **solo** single-worker pool — if that pool dies
-too, the task alone is the culprit and it is quarantined as a
+kill — or a :class:`~repro.chaos.ChaosPolicy` drill) is charged to
+exactly the task whose lease it held: the task re-queues for another
+worker (``exec.worker_restarts`` counted), and a task that has killed
+two workers is quarantined as a
 ``FAILED(WorkerCrashError)`` cell instead of aborting the sweep.
 Quarantined records use the normal checkpoint schema and the merge stays
 in task order, so stdout remains byte-identical to a serial run for
@@ -44,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .. import chaos as chaos_mod
+from .. import obs
 from ..cache import ArtifactCache
 from ..core.errors import WorkerCrashError
 from ..obs import events as obs_events
@@ -52,13 +50,13 @@ from ..obs import trace as obs_trace
 from ..resilience.checkpoint import make_record
 from ..resilience.errors import failure_record
 from ..resilience.runner import DesignResult, SweepRunner, result_from_record
-from .executor import DEFAULT_MAX_TASKS_PER_CHILD, POISON_ATTEMPTS, PoolExecutor
+from .executor import DEFAULT_MAX_TASKS_PER_CHILD, LocalExecutor
 from .tasks import SweepTask
 from .worker import WorkerContext
 from . import worker as worker_mod
 
-__all__ = ["ParallelSweepRunner", "PrebuiltPoint", "DEFAULT_MAX_TASKS_PER_CHILD",
-           "POISON_ATTEMPTS"]
+__all__ = ["ParallelSweepRunner", "PrebuiltPoint",
+           "DEFAULT_MAX_TASKS_PER_CHILD"]
 
 
 @dataclass
@@ -77,24 +75,18 @@ class ParallelSweepRunner(SweepRunner):
     def __init__(self, tasks: list[SweepTask] | tuple = (), jobs: int = 2,
                  cache: ArtifactCache | None = None,
                  max_tasks_per_child: int | None = DEFAULT_MAX_TASKS_PER_CHILD,
-                 crash_backoff_s: float = 0.05,
-                 max_worker_crashes: int | None = None,
                  executor=None,
                  **kwargs) -> None:
         super().__init__(**kwargs)
         self.tasks = list(tasks)
         self.jobs = max(1, int(jobs))
         self.cache = cache
-        self.max_tasks_per_child = (None if not max_tasks_per_child
-                                    else max(1, int(max_tasks_per_child)))
-        self.crash_backoff_s = max(0.0, crash_backoff_s)
-        self.max_worker_crashes = max_worker_crashes
+        self.max_tasks_per_child = max_tasks_per_child
         #: Injected :class:`~repro.exec.executor.Executor`; ``None``
-        #: builds the default :class:`PoolExecutor` lazily in
+        #: builds the default :class:`LocalExecutor` lazily in
         #: :meth:`prefetch` (a fabric executor dispatches even with
         #: ``jobs == 1`` — parallelism lives in the remote workers).
         self._executor = executor
-        self.pools_used = 0
         self.stats.update({"worker_restarts": 0, "poisoned": 0})
         self._prefetched: dict[str, dict] = {}
         self._deferred: dict[tuple[str, str], dict] = {}
@@ -102,20 +94,11 @@ class ParallelSweepRunner(SweepRunner):
 
     # ------------------------------------------------------------------
     def prefetch(self) -> int:
-        """Measure every task in the pool; returns the prefetched count.
+        """Measure every task; returns the prefetched count.
 
-        Pools are recycled every ``jobs * max_tasks_per_child`` tasks so
-        that no worker process ever serves more than
-        ``max_tasks_per_child`` tasks: long-running sweeps (and the
-        evaluation service's background jobs) keep worker memory bounded
-        instead of accumulating per-process design memos forever.  Merge
-        order stays the task order, so recycling never perturbs output.
-
-        A broken pool (a worker died) does not abort the sweep: its
-        unfinished tasks are re-dispatched in the next supervision round
-        after an exponential backoff, and a task that keeps killing
-        workers is quarantined (see the module docstring).  Crashes are
-        bounded by ``max_worker_crashes`` (default ``2 * tasks + 8``);
+        A dead worker does not abort the sweep: its task re-queues, and a
+        task that keeps killing workers is quarantined (see the module
+        docstring).  Worker deaths are bounded by ``2 * tasks + 8``;
         past that the sweep fails honestly with
         :class:`~repro.core.errors.WorkerCrashError`.
         """
@@ -126,11 +109,9 @@ class ParallelSweepRunner(SweepRunner):
             return 0
         executor = self._executor
         if executor is None:
-            executor = PoolExecutor(
+            executor = LocalExecutor(
                 jobs=self.jobs,
-                max_tasks_per_child=self.max_tasks_per_child,
-                crash_backoff_s=self.crash_backoff_s,
-                max_worker_crashes=self.max_worker_crashes)
+                max_tasks_per_child=self.max_tasks_per_child)
         trace_on = obs_trace.enabled()
         if trace_on and not obs_trace.TRACER.trace_id:
             obs_trace.new_trace()
@@ -154,17 +135,15 @@ class ParallelSweepRunner(SweepRunner):
             results = executor.run(self.tasks, base, context)
             self.stats["worker_restarts"] += executor.stats.get(
                 "worker_restarts", 0)
-            self.pools_used += executor.stats.get("pools", 0)
             for i, res in enumerate(results):
                 if res is not None and res.get("crashed"):
-                    # The executor gave up on this task (poison pool
-                    # worker / double lease expiry): quarantine it as an
-                    # honest FAILED(…) cell.
+                    # The executor gave up on this task (it killed two
+                    # workers): quarantine it as an honest FAILED(…) cell.
                     self._quarantine(i, res["crashed"])
                     results[i] = None
             self._merge(results, under=graft)
             obs_trace.event("exec.prefetch_done", tasks=len(self.tasks),
-                            jobs=self.jobs, pools=self.pools_used,
+                            jobs=self.jobs,
                             worker_restarts=self.stats["worker_restarts"],
                             poisoned=self.stats["poisoned"])
         return len(self._prefetched)
@@ -215,12 +194,7 @@ class ParallelSweepRunner(SweepRunner):
         for res in results:
             if res is None:
                 continue
-            if res["spans"]:
-                obs_trace.TRACER.ingest(res["spans"], under=under)
-            if res.get("events"):
-                obs_events.EVENTS.ingest(res["events"])
-            if res["metrics"]:
-                obs_metrics.REGISTRY.merge_snapshot(res["metrics"])
+            obs.ingest(res, under=under)
             if self.cache is not None and res["cache"]:
                 self.cache.merge_stats(res["cache"])
             if res["stats"]:

@@ -39,11 +39,11 @@ class SweepTask:
     ctx: tuple = ()      # (trace_id, parent_span_id) when tracing, else ()
 
     def to_record(self) -> dict:
-        """The versioned JSON wire form (pool payloads and fabric leases).
+        """The versioned JSON wire form carried by every broker lease.
 
         Tasks cross process and machine boundaries as plain JSON — never
-        as pickles — so a lease body served over HTTP and a payload
-        handed to a forked pool worker are the same bytes.
+        as pickles — so a lease served over HTTP and one piped to a
+        forked local worker carry the same record.
         """
         return {
             "schema": TASK_SCHEMA_VERSION,

@@ -1,8 +1,8 @@
 """Worker-process side of the sharded sweep executor.
 
-Everything here is module-level (the pool pickles references, not
-closures).  A worker resolves a :class:`~repro.exec.tasks.SweepTask`
-back into a built design, measures it through a private
+A worker decodes a broker lease (:func:`lease_payload`), resolves its
+:class:`~repro.exec.tasks.SweepTask` back into a built design, measures
+it through a private
 :class:`~repro.resilience.runner.SweepRunner` carrying the sweep's
 budget/retry policy, and ships the outcome back as plain dicts:
 
@@ -16,8 +16,8 @@ Design enumerations are memoized per worker process, so a worker
 building the Figure 1 structure once serves every point it is handed.
 Workers never checkpoint and never abort: the parent owns the
 checkpoint (written in serial consume order) and the deterministic
-``REPRO_ABORT_AFTER`` hook, which is why :func:`init_worker` drops that
-variable from the worker's environment.
+``REPRO_ABORT_AFTER`` hook, which is why :meth:`WorkerContext.apply`
+drops that variable from the worker's environment.
 """
 
 from __future__ import annotations
@@ -34,10 +34,16 @@ from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..resilience.errors import failure_record
-from ..resilience.runner import ABORT_ENV, SweepRunner, result_to_record
+from ..resilience.runner import (
+    ABORT_ENV,
+    RunnerConfig,
+    SweepRunner,
+    result_to_record,
+)
 from .tasks import SweepTask
 
-__all__ = ["WorkerContext", "init_worker", "run_task", "task_id"]
+__all__ = ["WorkerContext", "lease_payload", "run_task", "serve_leases",
+           "task_id"]
 
 # Per-worker-process memos: fig1 enumerations by sizes, table2 pairs by key.
 _FIG1_LISTS: dict[tuple, dict] = {}
@@ -48,7 +54,7 @@ _TABLE2_PAIRS: dict[str, tuple] = {}
 class WorkerContext:
     """The per-process bootstrap every worker flavor shares.
 
-    Pool workers (``exec.parallel``), serve evaluator workers
+    Local sweep workers (``exec.executor``), serve evaluator workers
     (``serve.pool``), and fabric pull-workers (``fabric.worker``) all
     start from the same three decisions — which artifact cache to use,
     whether tracing is on, which chaos policy applies — plus the
@@ -79,11 +85,6 @@ class WorkerContext:
         obs.clear()
 
 
-def init_worker(context: WorkerContext) -> None:
-    """Pool initializer: apply the shared worker bootstrap."""
-    context.apply()
-
-
 def task_id(task: SweepTask) -> str:
     """The stable ``kind:key:index`` id chaos selectors match against."""
     return f"{task.kind}:{task.key}:{task.index}"
@@ -108,6 +109,29 @@ def _table2_design(task: SweepTask):
     return pair[task.index]
 
 
+def lease_payload(lease: dict) -> dict:
+    """A broker lease in the :func:`run_task` payload shape."""
+    return {
+        "task": lease["task"],
+        "config": RunnerConfig(**(lease.get("config") or {})),
+        "inject": tuple(lease.get("inject") or ()),
+        "skip": frozenset(lease.get("skip") or ()),
+        "trace": bool(lease.get("trace")),
+        "attempt": int(lease.get("attempt") or 0),
+    }
+
+
+def serve_leases(slot: int, conn, context: WorkerContext) -> None:
+    """A local sweep worker: run each lease the parent pipes in.
+
+    Replies with each lease's :func:`run_task` output and returns (a
+    clean exit) when the parent sends ``None``.
+    """
+    context.apply()
+    while (lease := conn.recv()) is not None:
+        conn.send(run_task(lease_payload(lease)))
+
+
 def run_task(payload: dict) -> dict:
     """Resolve, build, and measure one task; never raises ``ReproError``.
 
@@ -125,7 +149,7 @@ def run_task(payload: dict) -> dict:
             and policy.should_kill(task_id(task), payload.get("attempt", 0))):
         # Chaos drill: die the way a segfault/OOM-kill would — no Python
         # unwinding, no result — so the parent's supervision is exercised
-        # against the real BrokenProcessPool path.
+        # against a real worker death.
         os.kill(os.getpid(), signal.SIGKILL)
     trace_on = bool(payload.get("trace"))
     if trace_on:

@@ -7,14 +7,14 @@ master (``POST /v1/sweeps``), and polls until the master reports the
 sweep done — pull-workers attached to that master do the measuring.
 Results come back as worker-output dicts in task order, so
 :class:`~repro.exec.parallel.ParallelSweepRunner` merges them through
-exactly the code path a local pool uses, and rendered output stays
+exactly the code path a local run uses, and rendered output stays
 byte-identical to a serial run.
 
-Supervision symmetry: the master counts lease expiries the way the pool
-counts worker crashes, so ``stats["worker_restarts"]`` reports them and
-a sweep whose expiry budget is exhausted raises
-:class:`~repro.core.errors.WorkerCrashError` here, mirroring
-:class:`~repro.exec.executor.PoolExecutor`.
+Supervision symmetry: the master runs the same broker ledger
+:class:`~repro.exec.executor.LocalExecutor` runs in-process, so
+``stats["worker_restarts"]`` reports its lease expiries, and a sweep
+whose expiry budget is exhausted raises
+:class:`~repro.core.errors.WorkerCrashError` here, as it does locally.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import http.client
 import json
 import time
 import urllib.parse
-from dataclasses import asdict
 
 from ..core.errors import UsageError, WorkerCrashError
+from ..exec.executor import sweep_payload, task_outputs
 from ..obs import trace as obs_trace
 
 __all__ = ["FabricClient", "FabricExecutor"]
@@ -84,17 +84,10 @@ class FabricExecutor:
         self.client = client or FabricClient(master)
         self.api_key = api_key          # identifies the QoS tenant
         self.priority = int(priority)   # within-tenant sweep priority
-        self.stats = {"worker_restarts": 0, "pools": 0}
+        self.stats = {"worker_restarts": 0}
 
     def run(self, tasks, base, context) -> list[dict | None]:
-        payload = {
-            "tasks": [task.to_record() for task in tasks],
-            "config": asdict(base["config"]),
-            "inject": sorted(base["inject"]),
-            "skip": sorted(base["skip"]),
-            "trace": bool(base["trace"]),
-            "priority": self.priority,
-        }
+        payload = dict(sweep_payload(tasks, base), priority=self.priority)
         headers = {}
         if self.api_key:
             headers["X-Api-Key"] = self.api_key
@@ -124,15 +117,7 @@ class FabricExecutor:
             raise WorkerCrashError(
                 f"fabric master lost sweep {sweep_id} ({status})",
                 phase="fabric.client")
-        results: list[dict | None] = []
-        for outcome in outcomes.get("results") or []:
-            if not isinstance(outcome, dict):
-                results.append(None)
-            elif outcome.get("crashed"):
-                results.append({"crashed": outcome["crashed"]})
-            else:
-                results.append(outcome.get("output"))
-        return results
+        return task_outputs(outcomes.get("results") or [])
 
     def _wait(self, sweep_id: str) -> dict:
         """Poll sweep status until terminal; returns the final status."""

@@ -1,8 +1,8 @@
 """The ``python -m repro work`` pull-worker loop.
 
 A pull-worker owns no scheduling state: it asks the master for work
-(``POST /v1/tasks/lease``), measures each leased task through the exact
-same :func:`repro.exec.worker.run_task` path a forked pool worker uses,
+(``POST /v1/tasks/lease``), measures each leased task exactly as a
+local ``--jobs N`` worker does (:func:`repro.exec.worker.run_task`),
 uploads any cache artifacts it produced (``PUT /v1/artifacts/<key>``,
 content-addressed), posts the result, and asks again.  A background
 heartbeat extends the lease while a long measurement runs; if the
@@ -13,12 +13,12 @@ cleanup is ever required for correctness.
 Process bootstrap is the shared :class:`repro.exec.worker.WorkerContext`
 (cache handle, tracing off by default — leases carry the sweep's trace
 flag per task — and an optional chaos policy for drills), so a
-pull-worker cannot drift from the pool-worker flavors.
+pull-worker cannot drift from the local worker flavors.
 
-``run_worker_fleet`` is the ``--parallel N`` form: it forks N child
-workers and respawns any that die (the ``chaos fabric-kill`` drill
-SIGKILLs them mid-lease on purpose), under the usual crash-budget
-arithmetic so a worker that can never start does not respawn forever.
+``run_worker_fleet`` is the ``--parallel N`` form, run by the same
+:func:`~repro.resilience.supervise.supervise_fleet` as local ``--jobs
+N``: it respawns workers that die (the ``chaos fabric-kill`` drill
+SIGKILLs them mid-lease on purpose) under a crash budget.
 """
 
 from __future__ import annotations
@@ -30,11 +30,14 @@ import threading
 import time
 
 from .. import cache as cache_mod
-from ..core.errors import UsageError
+from ..core.errors import UsageError, WorkerCrashError
 from ..exec import worker as worker_mod
 from ..exec.worker import WorkerContext
-from ..resilience.runner import RunnerConfig
-from ..resilience.supervise import backoff_delay, default_crash_budget
+from ..resilience.supervise import (
+    CrashBudget,
+    default_crash_budget,
+    supervise_fleet,
+)
 from .client import FabricClient
 
 __all__ = ["run_worker", "run_worker_fleet"]
@@ -42,18 +45,6 @@ __all__ = ["run_worker", "run_worker_fleet"]
 
 def _default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
-
-
-def _lease_payload(lease: dict) -> dict:
-    """A lease body in the :func:`repro.exec.worker.run_task` shape."""
-    return {
-        "task": lease["task"],
-        "config": RunnerConfig(**(lease.get("config") or {})),
-        "inject": tuple(lease.get("inject") or ()),
-        "skip": frozenset(lease.get("skip") or ()),
-        "trace": bool(lease.get("trace")),
-        "attempt": int(lease.get("attempt") or 0),
-    }
 
 
 def _heartbeat_loop(client: FabricClient, task_id: str, worker_id: str,
@@ -92,7 +83,7 @@ def _upload_artifacts(client: FabricClient, cache, mark: int) -> list[dict]:
 
 
 def _run_lease(client: FabricClient, worker_id: str, lease: dict) -> None:
-    payload = _lease_payload(lease)
+    payload = worker_mod.lease_payload(lease)
     cache = cache_mod.active()
     mark = len(cache.written) if cache is not None else 0
     period = max(0.05, float(lease.get("deadline_s") or 30.0) / 3.0)
@@ -165,58 +156,21 @@ def run_worker(master: str, worker_id: str | None = None, *,
 def run_worker_fleet(master: str, parallel: int, **kwargs) -> int:
     """Fork ``parallel`` pull-workers; respawn the ones that die.
 
-    A child exiting cleanly means the master is gone (or ``once`` /
-    ``max_idle_s`` fired) — the fleet winds down.  A child dying
-    (SIGKILL, crash) respawns with exponential backoff under a crash
-    budget, exactly the supervision stance the local pool takes.
+    A child exiting cleanly (the master is gone, or ``once`` /
+    ``max_idle_s`` fired) retires only its own slot: its siblings finish
+    their leases, and the fleet returns 0 once every slot has retired.
     """
-    import multiprocessing
-
     parallel = max(1, int(parallel))
     if parallel == 1:
         return run_worker(master, **kwargs)
-    try:
-        mp = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        mp = multiprocessing.get_context()
 
-    def child(slot: int) -> None:
+    def child(slot: int, _conn) -> None:
         run_worker(master, worker_id=f"{_default_worker_id()}.{slot}",
                    **kwargs)
 
-    procs = {slot: mp.Process(target=child, args=(slot,), daemon=True)
-             for slot in range(parallel)}
-    for proc in procs.values():
-        proc.start()
-    budget = default_crash_budget(8 * parallel)
-    crashes = 0
     try:
-        while procs:
-            time.sleep(0.05)
-            for slot, proc in list(procs.items()):
-                if proc.is_alive():
-                    continue
-                if proc.exitcode == 0:
-                    # Clean exit: the master is gone — stop the fleet.
-                    del procs[slot]
-                    for other in procs.values():
-                        other.terminate()
-                    for other in procs.values():
-                        other.join(timeout=5.0)
-                    return 0
-                crashes += 1
-                if crashes > budget:
-                    raise UsageError(
-                        f"fabric workers died {crashes} times "
-                        f"(budget {budget}); giving up")
-                time.sleep(backoff_delay(crashes, 0.05))
-                procs[slot] = mp.Process(target=child, args=(slot,),
-                                         daemon=True)
-                procs[slot].start()
-        return 0
-    finally:
-        for proc in procs.values():
-            if proc.is_alive():
-                proc.terminate()
-        for proc in procs.values():
-            proc.join(timeout=5.0)
+        supervise_fleet(parallel, child,
+                        CrashBudget(default_crash_budget(8 * parallel)))
+    except WorkerCrashError as exc:
+        raise UsageError(f"fabric workers: {exc.message}") from exc
+    return 0

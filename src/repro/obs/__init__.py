@@ -25,7 +25,7 @@ from . import events, metrics, report, trace
 from .trace import disable, enable, enabled
 
 __all__ = ["trace", "metrics", "events", "report", "enable", "disable",
-           "enabled", "clear"]
+           "enabled", "clear", "ingest"]
 
 
 def clear() -> None:
@@ -33,3 +33,14 @@ def clear() -> None:
     trace.clear()
     metrics.clear()
     events.clear()
+
+
+def ingest(buffers: dict, under: int | None = None) -> None:
+    """Merge a worker's shipped ``spans``/``events``/``metrics`` buffers;
+    spans whose parent is not shipped graft under local span ``under``."""
+    if buffers.get("spans"):
+        trace.TRACER.ingest(buffers["spans"], under=under)
+    if buffers.get("events"):
+        events.EVENTS.ingest(buffers["events"])
+    if buffers.get("metrics"):
+        metrics.REGISTRY.merge_snapshot(buffers["metrics"])

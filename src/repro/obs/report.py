@@ -275,8 +275,8 @@ PROM_HELP = {
     "cache.puts": "Artifacts written to the content-addressed cache.",
     "cache.corrupt": "Cache artifacts failing checksum verification, "
                      "quarantined to <cache>/corrupt/.",
-    "exec.worker_restarts": "Pool workers lost to crashes whose tasks "
-                            "were re-dispatched.",
+    "exec.worker_restarts": "Local sweep workers that died; each one's "
+                            "task was re-queued or quarantined.",
     "exec.poisoned_tasks": "Tasks quarantined as FAILED cells after "
                            "repeatedly killing workers.",
     "resilience.failures": "Design points that exhausted every attempt.",

@@ -76,8 +76,8 @@ class WorkerInit:
     """Picklable bootstrap state a forked evaluator worker mirrors.
 
     ``cache_dir``/``chaos`` re-activate the parent session's substrate in
-    the child (explicitly, like :func:`repro.exec.worker.init_worker` —
-    fork inheritance of globals is never relied on); ``obs`` selects
+    the child (explicitly, like :class:`repro.exec.worker.WorkerContext`
+    — fork inheritance of globals is never relied on); ``obs`` selects
     whether the worker records spans/metrics to ship back; ``budget_s``
     is the per-request wall budget the worker arms around each
     evaluation (the parent's deadline ladder is the backstop above it).

@@ -81,8 +81,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from .. import obs
 from ..core import jsonl
 from ..core.errors import BudgetExceeded, EvaluationError, WorkerCrashError
+from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.trace import TraceContext
@@ -199,13 +201,14 @@ class EvalServer:
             threshold=self.config.breaker_threshold,
             cooldown_s=self.config.breaker_cooldown_s)
         self.admission = _Admission(self.config.max_inflight)
-        from ..fabric.broker import TaskBroker
+        from ..exec.broker import TaskBroker
 
         self.fabric = TaskBroker(
             lease_s=self.config.fabric_lease_s,
             backoff_s=self.config.fabric_backoff_s,
-            journal=self.jobs._journal,
+            notify=self._fabric_note,
             cache=getattr(session, "cache", None))
+        self._fabric_grafts: dict[str, int | None] = {}  # sweep -> span id
         self._fabric_tick: asyncio.Task | None = None
         self.pool: WorkerPool | None = None   # built in run() when workers>1
         self._compute = ThreadPoolExecutor(
@@ -229,8 +232,6 @@ class EvalServer:
         self._exit = loop.create_future()
         was_enabled = obs_trace.enabled()
         if self.config.obs:
-            from .. import obs
-
             obs.enable()
         self._ensure_qos_series()
         try:
@@ -264,8 +265,6 @@ class EvalServer:
                 await self._close_everything()
         finally:
             if self.config.obs and not was_enabled:
-                from .. import obs
-
                 obs.disable()
 
     def request_drain(self, code: int = 0) -> None:
@@ -331,6 +330,21 @@ class EvalServer:
         self.breaker.cancel()
         if self._exit is not None and not self._exit.done():
             self._exit.set_result(code)
+
+    def _fabric_note(self, event: str, **fields) -> None:
+        """Journal a broker transition and count it in ``fabric.*`` obs."""
+        self.jobs._journal(event, **fields)
+        if event == "fabric.lease":
+            obs_metrics.inc("fabric.leases")
+        elif event == "fabric.expiry":
+            obs_metrics.inc("fabric.expiries")
+            if not fields["poisoned"]:
+                obs_metrics.inc("fabric.requeues")
+            obs_events.emit(event, task=fields["id"],
+                            attempt=fields["attempt"])
+        elif event in ("fabric.submitted", "fabric.done"):
+            sweep = fields.pop("id")
+            obs_events.emit(event, sweep=sweep, **fields)
 
     async def _fabric_expiry_loop(self) -> None:
         """Periodic lease sweep: expired leases re-queue or poison."""
@@ -421,21 +435,11 @@ class EvalServer:
         obs_metrics.inc("serve.requests_total")
         obs_metrics.inc(f"serve.status.{response.status}")
         obs_metrics.observe("serve.request_us", round(duration * 1e6, 3))
-        # A true span record per request, ingested rather than opened on
-        # the tracer stack: the stack belongs to the compute thread's
-        # evaluation spans, which requests overlap arbitrarily.  A caller
-        # `traceparent` stamps its trace id; otherwise the ingest
-        # backfills the server's own trace.
-        obs_trace.TRACER.ingest([{
-            "span_id": 1, "parent_id": None, "depth": 0,
-            "name": "serve.request",
-            "t_wall": round(t_wall, 6), "t_start": round(t0, 6),
-            "dur_us": round(duration * 1e6, 3), "kind": "span",
-            "status": "ok" if response.status < 500 else "error",
-            "attrs": {"method": request.method, "path": request.path,
-                      "http_status": response.status},
-            "trace_id": ctx.trace_id if ctx is not None else "",
-        }])
+        _root_span("serve.request",
+                   {"method": request.method, "path": request.path,
+                    "http_status": response.status}, ctx, t_wall, t0,
+                   round(duration * 1e6, 3),
+                   "ok" if response.status < 500 else "error")
 
     # ------------------------------------------------------------------
     # routing
@@ -575,8 +579,6 @@ class EvalServer:
             return None
         obs_metrics.inc("qos.throttled")
         obs_metrics.inc(f"qos.throttled|tenant={tenant.name}")
-        from ..obs import events as obs_events
-
         obs_events.emit("qos.throttled", tenant=tenant.name,
                         path=request.path, retry_after_s=retry_after)
         return _retry_later(error_response(
@@ -789,11 +791,18 @@ class EvalServer:
             return throttled
         try:
             sweep_id = self.fabric.submit(
-                request.json(), request.headers.get("traceparent"),
-                tenant=getattr(request, "tenant", None))
+                request.json(), tenant=getattr(request, "tenant", None))
         except (ValueError, TaskSchemaError) as exc:
             return error_response(str(exc), 400)
         info = self.fabric.status(sweep_id) or {}
+        if obs_trace.enabled():
+            # Worker span buffers graft under this span as results arrive.
+            header = request.headers.get("traceparent")
+            self._fabric_grafts[sweep_id] = _root_span(
+                "fabric.dispatch",
+                {"sweep": sweep_id, "tasks": info.get("total", 0)},
+                TraceContext.from_traceparent(header) if header else None,
+                time.time(), time.perf_counter())
         return json_response({"id": sweep_id,
                               "tasks": info.get("total", 0)})
 
@@ -857,6 +866,9 @@ class EvalServer:
             return error_response(
                 f"lease on {task_id} is no longer held by {worker}; "
                 f"result discarded", 409)
+        if obs_trace.enabled():
+            obs.ingest(output, under=self._fabric_grafts.get(
+                self.fabric.tasks[task_id].sweep))
         return json_response({"ok": True})
 
     def _artifact(self, method: str, key: str, request: Request) -> Response:
@@ -929,6 +941,28 @@ class EvalServer:
         if isinstance(exc, EvaluationError):
             return error_response(str(exc), 422)
         return error_response(f"internal error: {exc}", 500)
+
+
+def _root_span(name: str, attrs: dict, ctx: TraceContext | None,
+               t_wall: float, t_start: float, dur_us: float = 0.0,
+               status: str = "ok") -> int:
+    """Ingest one parentless span record; returns its local span id.
+
+    Ingested rather than opened on the tracer stack: the stack belongs to
+    the compute thread's evaluation spans, which requests overlap
+    arbitrarily.  A caller ``traceparent`` stamps its trace id; otherwise
+    the ingest backfills the server's own trace.  Reading the tracer's
+    next-id counter first (safe: the event loop is the only writer) tells
+    us the id the ingest assigns.
+    """
+    span_id = obs_trace.TRACER._next_id
+    obs_trace.TRACER.ingest([{
+        "span_id": 1, "parent_id": None, "depth": 0, "name": name,
+        "t_wall": round(t_wall, 6), "t_start": round(t_start, 6),
+        "dur_us": dur_us, "kind": "span", "status": status, "attrs": attrs,
+        "trace_id": ctx.trace_id if ctx is not None else "",
+    }])
+    return span_id
 
 
 def _retry_later(response: Response, seconds: int = 1) -> Response:

@@ -196,6 +196,32 @@ class TestWorkerSupervision:
         assert restarts > 0
         assert session.last_runner.stats["poisoned"] == 0
 
+    def test_a_kill_is_charged_only_to_the_task_that_died(self):
+        """One SIGKILL re-runs one task: the quick Fig. 1 under
+        ``kill=@XLS:2`` comes back byte-identical with exactly one worker
+        restart, and only ``fig1:XLS:2`` carries ``attempt > 0``."""
+        clear_measure_cache()
+        clean = render_fig1(Session(jobs=1).fig1())
+        session = Session(jobs=2, trace=True, chaos="seed=1,kill=@XLS:2")
+        try:
+            clear_measure_cache()
+            chaotic = render_fig1(session.fig1())
+            retried = [rec.attrs["task"] for rec in obs.trace.events()
+                       if rec.name == "exec.task"
+                       and rec.attrs.get("attempt", 0) > 0]
+            counters = obs_metrics.snapshot()["counters"]
+            events = [event["type"] for event in obs.events.EVENTS.events()]
+        finally:
+            session.close()
+        assert chaotic == clean
+        stats = session.last_runner.stats
+        assert (stats["worker_restarts"], stats["poisoned"]) == (1, 0)
+        assert retried == ["fig1:XLS:2"]
+        assert counters["exec.worker_restarts"] == 1
+        # The local broker is private: no fabric.* telemetry.
+        assert not [name for name in [*counters, *events]
+                    if name.startswith("fabric.")]
+
     def test_poisoned_task_becomes_honest_failed_cell(self, clean_fig1):
         """A task that kills its worker on *every* attempt must end up as
         an explicit FAILED(WorkerCrashError) cell, not a wrong number."""

@@ -2,6 +2,9 @@
 executor's byte-identity guarantee (parallel output == serial output,
 including under checkpoint/resume and the artifact cache)."""
 
+import os
+from collections import Counter
+
 import pytest
 
 from repro.cache import ArtifactCache
@@ -120,24 +123,50 @@ class TestParallelIdentity:
 
 
 class TestWorkerRecycling:
-    def test_recycled_pools_bound_worker_lifetime(self):
-        """max_tasks_per_child=1 re-forks workers every stride while the
-        rendered sweep output stays byte-identical to the serial run."""
-        import math
+    """``max_tasks_per_child`` bounds how many tasks one worker process
+    serves: a spent worker exits and its slot re-forks."""
 
+    def _sweep(self, monkeypatch, tmp_path, max_tasks_per_child):
+        """``(output, executor, tasks served per worker pid)``."""
+        from repro.exec import LocalExecutor
+        from repro.exec import worker as worker_mod
+
+        log = tmp_path / "pids"
+        run_task = worker_mod.run_task
+
+        def logged(payload):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return run_task(payload)
+
+        # Patched before the workers fork, so each one logs its pid.
+        monkeypatch.setattr(worker_mod, "run_task", logged)
+        executor = LocalExecutor(jobs=2,
+                                 max_tasks_per_child=max_tasks_per_child)
+        out, _ = _parallel_fig1(executor=executor)
+        return out, executor, Counter(log.read_text().split())
+
+    def test_one_task_per_child_forks_a_worker_per_task(self, monkeypatch,
+                                                        tmp_path):
+        """max_tasks_per_child=1: no worker process serves more than one
+        task, so one worker is forked per task, and the rendered sweep
+        stays byte-identical to the serial run."""
         serial = _serial_fig1()
         n_tasks = len(fig1_tasks(fig1_design_lists(**FIG1_SIZES), FIG1_SIZES))
-        recycled, runner = _parallel_fig1(jobs=2, max_tasks_per_child=1)
+        recycled, executor, served = self._sweep(monkeypatch, tmp_path, 1)
         assert recycled == serial
-        assert runner.pools_used == math.ceil(n_tasks / (2 * 1))
+        assert set(served.values()) == {1}
+        assert len(served) == n_tasks
+        assert executor.stats["workers"] == n_tasks
 
-    def test_default_recycling_uses_one_pool_for_small_sweeps(self):
-        _, runner = _parallel_fig1(jobs=2)  # default stride >> task count
-        assert runner.pools_used == 1
-
-    def test_disabled_recycling_is_one_pool(self):
-        _, runner = _parallel_fig1(jobs=2, max_tasks_per_child=None)
-        assert runner.pools_used == 1
+    @pytest.mark.parametrize("limit", [64, None])
+    def test_small_sweeps_fork_jobs_workers(self, monkeypatch, tmp_path,
+                                            limit):
+        """The default limit (64) and no limit (None) both fork exactly
+        ``jobs`` workers for a sweep smaller than the limit."""
+        _, executor, served = self._sweep(monkeypatch, tmp_path, limit)
+        assert executor.stats["workers"] == 2
+        assert len(served) == 2
 
 
 class TestResumedParallelIdentity:

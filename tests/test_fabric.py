@@ -8,6 +8,7 @@ tree."""
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from repro.chaos.scenarios import check_invariant
 from repro.eval.experiments import render_fig1
 from repro.eval.measure import clear_measure_cache
 from repro.exec.tasks import SweepTask, TaskSchemaError, table2_tasks
-from repro.fabric import TaskBroker, run_worker
+from repro.fabric import TaskBroker, run_worker, run_worker_fleet
 from repro.resilience.runner import RunnerConfig
 from repro.serve import EvalServer, ServeConfig
 
@@ -125,6 +126,20 @@ class TestBroker:
         status = self.broker.status(sweep)
         assert (status["state"], status["expiries"]) == ("done", 2)
         assert self.broker.results(sweep) == [{"crashed": 2}]
+
+    def test_expire_by_worker_skips_the_deadline(self):
+        """A worker seen dead loses every lease it holds at once; other
+        workers' leases and the clock are untouched."""
+        sweep = self.broker.submit(_sweep_payload(3))
+        dead = self.broker.lease("w1", limit=2)
+        (alive,) = self.broker.lease("w2")
+        assert self.broker.expire(worker="w1") == 2
+        assert self.broker.expire() == 0          # no deadline has passed
+        assert [lease["attempt"] for lease in self.broker.lease("w3", 8)] \
+            == [1, 1]
+        assert self.broker.result(alive["id"], "w2", {}) == {"stale": False}
+        assert self.broker.result(dead[0]["id"], "w1", {}) == {"stale": True}
+        assert self.broker.status(sweep)["expiries"] == 2
 
     def test_snapshot_counts(self):
         self.broker.submit(_sweep_payload(2))
@@ -291,6 +306,37 @@ class TestFabricEndToEnd:
         assert server.stop() == 0
         worker.join(timeout=60)       # master gone -> worker exits its loop
         assert not worker.is_alive()
+
+    def test_once_fleet_retires_workers_without_stranding_a_lease(self, live):
+        """``work --parallel 2 --once``: a child that runs out of work
+        retires its own slot only.  Its sibling keeps its lease, the sweep
+        finishes with no expiries, and the fleet exits 0 on its own."""
+        clean = _fig1_text(Session(jobs=1))
+        server = live(fabric_lease_s=2.0)
+        fleet = multiprocessing.get_context("fork").Process(
+            target=run_worker_fleet, args=(server.master, 2),
+            kwargs={"once": True})
+        fleet.start()
+        outputs = []
+        sweep = threading.Thread(
+            target=lambda: outputs.append(
+                _fig1_text(Session(fabric=server.master))),
+            daemon=True)
+        try:
+            sweep.start()
+            sweep.join(timeout=300)
+            assert not sweep.is_alive(), "fabric sweep hung"
+            assert outputs == [clean]
+            fleet.join(timeout=60)
+            assert not fleet.is_alive(), "fleet did not exit on its own"
+            assert fleet.exitcode == 0
+            status, body = server.request("GET", "/healthz")
+            assert json.loads(body)["fabric"]["expiries"] == 0
+        finally:
+            if fleet.is_alive():
+                fleet.terminate()
+                fleet.join(timeout=10)
+        assert server.stop() == 0
 
     def test_abandoned_leases_poison_to_honest_failures(self, live):
         """A 'vampire' client leases every task and never reports.  Each
