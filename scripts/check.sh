@@ -71,6 +71,29 @@ step python -m repro fig1 --jobs 2 --max-tasks-per-child 1 \
 cmp "$tmp/fresh.txt" "$tmp/recycled.txt"
 echo "ok"
 
+echo "== recipe smoke: a warm fig1 --jobs 2 builds no design, output identical =="
+step python -m repro fig1 --jobs 2 --cache "$tmp/fig1_cache" > "$tmp/fig1_cold.txt"
+cmp "$tmp/fresh.txt" "$tmp/fig1_cold.txt"
+step python -m repro fig1 --jobs 2 --cache "$tmp/fig1_cache" \
+    --trace "$tmp/fig1_warm.jsonl" > "$tmp/fig1_warm.txt"
+# --trace appends one "wrote N trace records" line to stdout.
+grep -v '^wrote [0-9]* trace records to ' "$tmp/fig1_warm.txt" \
+    | cmp "$tmp/fig1_cold.txt" -
+step python - "$tmp/fig1_warm.jsonl" <<'EOF'
+import json, sys
+names = [json.loads(line)["name"] for line in open(sys.argv[1])]
+builds = names.count("frontend.build")
+tasks = names.count("exec.task")
+assert tasks == 30, f"expected 30 worker exec.task spans, got {tasks}"
+assert builds == 0, f"expected no frontend.build on a warm fig1, got {builds}"
+print(f"frontend.build = {builds}, exec.task = {tasks}")
+EOF
+step python -m repro list > "$tmp/list.txt"
+printf '%s\n' bambu-initial bambu-opt bsv-initial bsv-opt chisel-initial \
+    chisel-opt maxj-initial maxj-opt verilog-initial verilog-opt \
+    vivado-hls-initial vivado-hls-opt xls-s0 xls-s8 | cmp - "$tmp/list.txt"
+echo "ok"
+
 echo "== engine smoke: fig1/table2/verify --engine batch byte-identical to compiled =="
 step python -m repro engines > /dev/null
 step python -m repro fig1 --engine batch > "$tmp/batch.txt"

@@ -47,7 +47,7 @@ from .engines import (
     resolve_engine,
 )
 from .eval.measure import Measured, measure_design
-from .frontends.base import Design
+from .frontends.base import Design, Recipe
 from .resilience.checkpoint import Checkpoint
 from .resilience.runner import RunnerConfig, SweepRunner
 
@@ -58,6 +58,8 @@ _DEFAULT_RECYCLE = 64
 __all__ = [
     "Session",
     "resolve_design",
+    "resolve_recipe",
+    "find_recipe",
     "find_design",
     "design_names",
     "canonical_name",
@@ -132,30 +134,33 @@ def canonical_name(name: str) -> str:
     return NAME_ALIASES.get(name, name)
 
 
-def find_design(name: str):
-    """Lazily build design pairs until ``name`` (alias-aware) matches.
+def find_recipe(name: str) -> Recipe | None:
+    """The registered recipe for ``name`` (alias-aware), or ``None``.
 
-    Returns ``(design, factory)`` so callers can rebuild the pair (e.g.
-    under tracing), or ``(None, None)`` when the name is unknown.
+    A dict lookup: nothing is built.
     """
-    from .eval.experiments import PAIRS
+    from .eval.experiments import RECIPES
 
-    wanted = canonical_name(name)
-    for factory in PAIRS.values():
-        for design in factory():
-            if design.name == wanted:
-                return design, factory
-    return None, None
+    return RECIPES.get(canonical_name(name))
+
+
+def find_design(name: str):
+    """Build the design registered as ``name`` (alias-aware).
+
+    Returns ``(design, factory)`` so callers can rebuild it (e.g. under
+    tracing), or ``(None, None)`` when the name is unknown.
+    """
+    recipe = find_recipe(name)
+    if recipe is None:
+        return None, None
+    return recipe.build(), recipe.build
 
 
 def design_names() -> list[str]:
-    """All registered canonical design names (builds every pair)."""
-    from .eval.experiments import PAIRS
+    """All registered canonical design names (nothing is built)."""
+    from .eval.experiments import RECIPES
 
-    names = []
-    for factory in PAIRS.values():
-        names.extend(design.name for design in factory())
-    return sorted(names)
+    return sorted(RECIPES)
 
 
 def _alias_spellings(names: list[str]) -> list[str]:
@@ -172,16 +177,16 @@ def _alias_spellings(names: list[str]) -> list[str]:
     return sorted(spellings)
 
 
-def resolve_design(name: str) -> str:
-    """The canonical design name for ``name``, alias-aware and validated.
+def resolve_recipe(name: str) -> Recipe:
+    """The recipe for ``name``, alias-aware and validated.
 
     Raises :class:`UnknownDesignError` with near-miss suggestions when no
     registered design matches — the error message is what ``verify``,
     ``profile``, and ``faults`` print before exiting with code 2.
     """
-    design, _factory = find_design(name)
-    if design is not None:
-        return design.name
+    recipe = find_recipe(name)
+    if recipe is not None:
+        return recipe
     names = design_names()
     close = difflib.get_close_matches(
         name, names + _alias_spellings(names), n=3, cutoff=0.5)
@@ -191,11 +196,9 @@ def resolve_design(name: str) -> str:
         name=name, suggestions=close)
 
 
-def _find_or_raise(name: str):
-    design, factory = find_design(name)
-    if design is None:
-        resolve_design(name)  # raises UnknownDesignError with suggestions
-    return design, factory
+def resolve_design(name: str) -> str:
+    """The canonical design name for ``name`` (see :func:`resolve_recipe`)."""
+    return resolve_recipe(name).name
 
 
 # ----------------------------------------------------------------------
@@ -389,14 +392,14 @@ class Session:
     # ------------------------------------------------------------------
     def build(self, name: str) -> Design:
         """Build one design point by (alias-aware) name."""
-        design, _factory = _find_or_raise(name)
-        return design
+        return resolve_recipe(name).build()
 
-    def measure(self, name: str, **kwargs) -> Measured:
-        """Build and fully characterize one design point."""
-        design = self.build(name)
+    def measure(self, name: str | Recipe, **kwargs) -> Measured:
+        """Fully characterize one design point, given by (alias-aware)
+        name or as a recipe; it is built only on a cache miss."""
+        recipe = name if isinstance(name, Recipe) else resolve_recipe(name)
         with self._activated():
-            return measure_design(design, **kwargs)
+            return measure_design(recipe, **kwargs)
 
     def verify(self, name: str, engine: str | None = None,
                use_cache: bool | None = None) -> Measured:
@@ -412,24 +415,19 @@ class Session:
         engine = resolve_engine(engine or default_engine("sim"), "sim")
         if use_cache is None:
             use_cache = self.cache is not None
-        design = self.build(name)
-        with self._activated():
-            return measure_design(design, use_cache=use_cache, engine=engine)
+        return self.measure(name, use_cache=use_cache, engine=engine)
 
     def profile(self, name: str) -> tuple[Design, Measured]:
-        """Rebuild one design pair under tracing and measure the point
-        (so ``frontend.build`` is part of the profile)."""
-        design, factory = _find_or_raise(name)
-        for rebuilt in factory():
-            if rebuilt.name == design.name:
-                design = rebuilt
+        """Build and measure one design point uncached (so the profile
+        covers ``frontend.build`` and every later phase)."""
+        design = self.build(name)
         with self._activated():
             measured = measure_design(design, use_cache=False)
         return design, measured
 
     def evaluator(self, name: str):
         """The memoized hot :class:`~repro.serve.DesignEvaluator` for
-        ``name`` (built — and verified bit-exact — on first use)."""
+        ``name`` (measured — and verified bit-exact — on first use)."""
         from .serve.evaluator import DesignEvaluator
 
         resolved = resolve_design(name)

@@ -151,47 +151,6 @@ import sys
 __all__ = ["main"]
 
 
-def _canonical_name(name: str) -> str:
-    """Deprecated: use :func:`repro.api.canonical_name`."""
-    from .api import canonical_name
-
-    return canonical_name(name)
-
-
-def _design_registry() -> dict:
-    from .eval.experiments import PAIRS
-
-    registry = {}
-    for key, factory in PAIRS.items():
-        initial, optimized = factory()
-        registry[initial.name] = initial
-        registry[optimized.name] = optimized
-    return registry
-
-
-def _find_design(name: str):
-    """Deprecated: use :func:`repro.api.find_design` (same contract)."""
-    from .api import find_design
-
-    return find_design(name)
-
-
-def _aliases():
-    # Deprecated module-level mirrors of repro.api.{PREFIX,NAME}_ALIASES,
-    # kept importable for older scripts.
-    from .api import NAME_ALIASES, PREFIX_ALIASES
-
-    return PREFIX_ALIASES, NAME_ALIASES
-
-
-def __getattr__(name: str):
-    if name == "_PREFIX_ALIASES":
-        return _aliases()[0]
-    if name == "_NAME_ALIASES":
-        return _aliases()[1]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _cmd_table1(_args) -> int:
     from .eval import render_table1
 

@@ -1,8 +1,11 @@
 """The paper's experiments: Table I, Table II, and Figure 1.
 
-The registry maps each evaluated language/tool pair to its initial and
-optimized designs (plus each tool's configuration sweep for the DSE
-figure).  Everything is regenerated from scratch: the designs are built,
+The registry maps each evaluated language/tool pair to the recipes of its
+initial and optimized designs (plus each tool's configuration sweep for
+the DSE figure).  A :class:`~repro.frontends.base.Recipe` names a design
+point without building it, so a point whose measurement is already in
+the artifact cache is never built.  Otherwise everything is regenerated
+from scratch: the designs are built,
 simulated against the golden model, and run through the synthesis cost
 model, then the paper's derived metrics (α, Q, C_Q, F_Q) are computed
 per equations (1)-(3).
@@ -18,11 +21,13 @@ budget limits.
 
 from __future__ import annotations
 
+import functools
+import importlib
 from dataclasses import dataclass, field
 from typing import Callable
 
 from ..core.errors import EvaluationError, ReproError
-from ..frontends.base import Design
+from ..frontends.base import Design, Recipe
 from ..obs import trace as obs_trace
 from .loc import delta_loc
 from .measure import Measured, measure_design
@@ -35,6 +40,9 @@ __all__ = [
     "generate_table2",
     "Table2",
     "Fig1Series",
+    "PAIR_RECIPES",
+    "PAIRS",
+    "RECIPES",
     "fig1_design_lists",
     "generate_fig1",
     "render_table1",
@@ -83,60 +91,85 @@ def render_table1() -> str:
 
 
 # ----------------------------------------------------------------------
-# design registry
+# design registry: every design point is a recipe
 # ----------------------------------------------------------------------
 
-def _verilog_pair() -> tuple[Design, Design]:
-    from ..frontends.vlog import verilog_initial, verilog_opt
-
-    return verilog_initial(), verilog_opt()
-
-
-def _chisel_pair() -> tuple[Design, Design]:
-    from ..frontends.hc import chisel_initial, chisel_opt
-
-    return chisel_initial(), chisel_opt()
+def _build(frontend: str, factory: str, /, *args, **kwargs) -> Design:
+    # Frontends are imported on first build: a sweep answered from the
+    # artifact cache never loads them.
+    module = importlib.import_module(f"..frontends.{frontend}", __package__)
+    return getattr(module, factory)(*args, **kwargs)
 
 
-def _bsv_pair() -> tuple[Design, Design]:
-    from ..frontends.rules import bsv_initial, bsv_opt
-
-    return bsv_initial(), bsv_opt()
-
-
-def _xls_pair() -> tuple[Design, Design]:
-    from ..frontends.flow import xls_design, xls_initial
-
-    return xls_initial(), xls_design(8, config="opt")
+def _recipe(name: str, tool: str, config: str, frontend: str, factory: str,
+            /, *args, **kwargs) -> Recipe:
+    return Recipe(name, tool, config,
+                  functools.partial(_build, frontend, factory, *args, **kwargs))
 
 
-def _maxj_pair() -> tuple[Design, Design]:
-    from ..frontends.maxj import maxj_initial, maxj_opt
+def _bsc_point(mode: str, seed: int) -> Design:
+    from ..frontends.rules import SchedulerOptions, bsv_opt
 
-    return maxj_initial(), maxj_opt()
-
-
-def _bambu_pair() -> tuple[Design, Design]:
-    from ..frontends.chls import bambu_initial, bambu_opt
-
-    return bambu_initial(), bambu_opt()
+    return bsv_opt(SchedulerOptions(urgency_seed=seed, conflict_mode=mode),
+                   config=f"sweep-{mode}-{seed}")
 
 
-def _vivado_hls_pair() -> tuple[Design, Design]:
-    from ..frontends.chls import vivado_initial, vivado_opt
+def _bambu_point(index: int) -> Design:
+    from ..frontends.chls import bambu_design, bambu_sweep
 
-    return vivado_initial(), vivado_opt()
+    return bambu_design(bambu_sweep()[index], f"sweep{index}")
 
 
-PAIRS: dict[str, Callable[[], tuple[Design, Design]]] = {
-    "Verilog/Vivado": _verilog_pair,
-    "Chisel/Chisel": _chisel_pair,
-    "BSV/BSC": _bsv_pair,
-    "DSLX/XLS": _xls_pair,
-    "MaxJ/MaxCompiler": _maxj_pair,
-    "C/Bambu": _bambu_pair,
-    "C/Vivado HLS": _vivado_hls_pair,
+#: The order of :func:`repro.frontends.rules.bsc_sweep` (26 points) and the
+#: length of :func:`repro.frontends.chls.bambu_sweep`.
+_BSC_SWEEP = [(mode, seed) for mode in ("exact", "pessimistic")
+              for seed in range(13)]
+_BAMBU_SWEEP = 42
+
+#: Table II's ``(initial, optimized)`` recipe per tool column.
+PAIR_RECIPES: dict[str, tuple[Recipe, Recipe]] = {
+    "Verilog/Vivado": (
+        _recipe("verilog-initial", "Vivado", "initial", "vlog",
+                "verilog_initial"),
+        _recipe("verilog-opt", "Vivado", "opt", "vlog", "verilog_opt")),
+    "Chisel/Chisel": (
+        _recipe("chisel-initial", "Chisel", "initial", "hc", "chisel_initial"),
+        _recipe("chisel-opt", "Chisel", "opt", "hc", "chisel_opt")),
+    "BSV/BSC": (
+        _recipe("bsv-initial", "BSC", "initial", "rules", "bsv_initial"),
+        _recipe("bsv-opt", "BSC", "opt", "rules", "bsv_opt")),
+    "DSLX/XLS": (
+        _recipe("xls-s0", "XLS", "initial", "flow", "xls_initial"),
+        _recipe("xls-s8", "XLS", "opt", "flow", "xls_design", 8,
+                config="opt")),
+    "MaxJ/MaxCompiler": (
+        _recipe("maxj-initial", "MaxCompiler", "initial", "maxj",
+                "maxj_initial"),
+        _recipe("maxj-opt", "MaxCompiler", "opt", "maxj", "maxj_opt")),
+    "C/Bambu": (
+        _recipe("bambu-initial", "Bambu", "initial", "chls", "bambu_initial"),
+        _recipe("bambu-opt", "Bambu", "opt", "chls", "bambu_opt")),
+    "C/Vivado HLS": (
+        _recipe("vivado-hls-initial", "Vivado HLS", "initial", "chls",
+                "vivado_initial"),
+        _recipe("vivado-hls-opt", "Vivado HLS", "opt", "chls",
+                "vivado_opt")),
 }
+
+#: Every Table II design point by name: what design names resolve to.
+RECIPES: dict[str, Recipe] = {recipe.name: recipe
+                              for pair in PAIR_RECIPES.values()
+                              for recipe in pair}
+
+
+def _build_pair(key: str) -> tuple[Design, Design]:
+    initial, optimized = PAIR_RECIPES[key]
+    return initial.build(), optimized.build()
+
+
+#: Table II's pair builders: ``PAIRS[key]()`` builds both designs.
+PAIRS: dict[str, Callable[[], tuple[Design, Design]]] = {
+    key: functools.partial(_build_pair, key) for key in PAIR_RECIPES}
 
 
 # ----------------------------------------------------------------------
@@ -328,39 +361,34 @@ def fig1_design_lists(
     bsc_configs: int = 26,
     bambu_configs: int = 42,
     xls_stages: int = 18,
-) -> list[tuple[str, list]]:
-    """The ordered ``(tool, design points)`` structure behind Figure 1.
+) -> list[tuple[str, list[Recipe]]]:
+    """The ordered ``(tool, recipes)`` structure behind Figure 1.
 
-    A point is either a built :class:`Design` or a ``(config, factory)``
-    pair deferring construction so build-time failures (e.g. a schedule
-    that does not fit) are contained per point.  This enumeration is the
-    unit of work the sharded executor (:mod:`repro.exec`) distributes:
-    workers rebuild the identical structure from the same sizes, so a
-    ``(tool, index)`` pair addresses the same design point in every
-    process.
+    Nothing is built here.  This enumeration is the unit of work the
+    sharded executor (:mod:`repro.exec`) distributes: every process
+    derives the identical structure from the same sizes, so a
+    ``(tool, index)`` pair addresses the same design point everywhere.
     """
-    from ..frontends.chls import (
-        bambu_design,
-        bambu_sweep,
-        vivado_initial,
-        vivado_opt,
-    )
-    from ..frontends.flow import xls_design
-    from ..frontends.hc import chisel_initial, chisel_opt
-    from ..frontends.maxj import maxj_initial, maxj_opt
-    from ..frontends.rules import bsc_sweep, bsv_initial, bsv_opt
-    from ..frontends.vlog import all_designs as verilog_designs
-
+    verilog = PAIR_RECIPES["Verilog/Vivado"]
     return [
-        ("Vivado", verilog_designs()),
-        ("Chisel", [chisel_initial(), chisel_opt()]),
-        ("BSC", [bsv_initial(), bsv_opt()] + bsc_sweep()[:bsc_configs]),
-        ("XLS", [(f"pipe{n}", lambda n=n: xls_design(n))
-                 for n in range(0, xls_stages + 1)]),
-        ("MaxCompiler", [maxj_initial(), maxj_opt()]),
-        ("Bambu", [(f"sweep{i}", lambda cfg=cfg, i=i: bambu_design(cfg, f"sweep{i}"))
-                   for i, cfg in enumerate(bambu_sweep()[:bambu_configs])]),
-        ("Vivado HLS", [vivado_initial(), vivado_opt()]),
+        ("Vivado", [verilog[0],
+                    _recipe("verilog-opt1", "Vivado", "opt1", "vlog",
+                            "verilog_opt1"),
+                    verilog[1]]),
+        ("Chisel", list(PAIR_RECIPES["Chisel/Chisel"])),
+        ("BSC", list(PAIR_RECIPES["BSV/BSC"]) + [
+            Recipe(f"bsv-opt-sweep-{mode}-{seed}", "BSC",
+                   f"sweep-{mode}-{seed}",
+                   functools.partial(_bsc_point, mode, seed))
+            for mode, seed in _BSC_SWEEP[:bsc_configs]]),
+        ("XLS", [_recipe(f"xls-s{n}", "XLS", f"stages-{n}" if n else "initial",
+                         "flow", "xls_design", n)
+                 for n in range(xls_stages + 1)]),
+        ("MaxCompiler", list(PAIR_RECIPES["MaxJ/MaxCompiler"])),
+        ("Bambu", [Recipe(f"bambu-sweep{i}", "Bambu", f"sweep{i}",
+                          functools.partial(_bambu_point, i))
+                   for i in range(min(bambu_configs, _BAMBU_SWEEP))]),
+        ("Vivado HLS", list(PAIR_RECIPES["C/Vivado HLS"])),
     ]
 
 
@@ -369,24 +397,17 @@ def generate_fig1(
     bambu_configs: int = 42,
     xls_stages: int = 18,
     runner=None,
-    design_lists: list[tuple[str, list]] | None = None,
+    design_lists: list[tuple[str, list[Recipe]]] | None = None,
 ) -> list[Fig1Series]:
     """All DSE sweeps of the paper's Figure 1 (sizes configurable).
 
     Every design point goes through ``runner``
     (:class:`~repro.resilience.runner.SweepRunner`, default-constructed
-    when omitted), so a single failed configuration records a
-    ``(config, reason)`` failure on its series instead of aborting the
-    whole figure.  ``design_lists`` lets a caller that already built the
-    :func:`fig1_design_lists` enumeration (the sharded executor) reuse it
-    instead of building every design twice.
-
-    When the runner prefetched results for deferred points (it exposes a
-    ``deferred_result`` hook, as :class:`repro.exec.ParallelSweepRunner`
-    does), their factories are never invoked here — the build happened in
-    a worker process — which keeps the serial consume pass cheap.
+    when omitted), so a single failed configuration — one that cannot
+    be built or measured — records a ``(config, reason)`` failure on its
+    series instead of aborting the whole figure.  ``design_lists`` is a
+    :func:`fig1_design_lists` enumeration the caller already holds.
     """
-    from ..resilience.errors import failure_reason, failure_record
     from ..resilience.runner import SweepRunner
 
     if runner is None:
@@ -395,52 +416,20 @@ def generate_fig1(
         design_lists = fig1_design_lists(bsc_configs=bsc_configs,
                                          bambu_configs=bambu_configs,
                                          xls_stages=xls_stages)
-    deferred_hook = getattr(runner, "deferred_result", None)
     series: list[Fig1Series] = []
-
-    def fail(entry: Fig1Series, tool: str, config: str, reason: str) -> None:
-        entry.failures.append((config, reason))
-        obs_trace.event("fig1.point_failed", tool=tool, config=config,
-                        reason=reason)
-
-    def add(tool: str, designs: list) -> None:
+    for tool, recipes in design_lists:
         entry = Fig1Series(tool=tool)
-        for item in designs:
-            if isinstance(item, tuple):
-                config, factory = item
-                pre = deferred_hook(tool, config) if deferred_hook else None
-                if pre is not None:
-                    if pre.build_error is not None:
-                        fail(entry, tool, config,
-                             failure_reason(pre.build_error))
-                        continue
-                    result = pre.result
-                    config = pre.config
-                else:
-                    try:
-                        design = factory()
-                    except ReproError as exc:
-                        record = failure_record(exc, design=config,
-                                                phase="frontend.build")
-                        fail(entry, tool, config, failure_reason(record))
-                        continue
-                    config = design.config
-                    result = runner.measure(design)
-            else:
-                design = item
-                config = design.config
-                result = runner.measure(design)
+        for recipe in recipes:
+            result = runner.measure(recipe)
             if result.ok:
                 measured = result.measured
                 entry.points.append(
-                    (config, measured.throughput_mops, measured.area)
-                )
+                    (recipe.config, measured.throughput_mops, measured.area))
             else:
-                fail(entry, tool, config, result.reason)
+                entry.failures.append((recipe.config, result.reason))
+                obs_trace.event("fig1.point_failed", tool=tool,
+                                config=recipe.config, reason=result.reason)
         series.append(entry)
-
-    for tool, designs in design_lists:
-        add(tool, designs)
     return series
 
 

@@ -17,7 +17,8 @@ import json
 from dataclasses import dataclass, field
 
 from .. import cache as artifact_cache
-from ..frontends.base import Design
+from ..core.errors import ReproError
+from ..frontends.base import Design, Recipe
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..rtl import Netlist, elaborate
@@ -83,10 +84,10 @@ class Measured:
         return cls(**{k: v for k, v in data.items() if k in names})
 
 
-# Keyed by (design name, n_matrices, engine) — two engines' measurements
-# of the same design must not shadow each other (the disk key already
-# includes both parameters).
-_CACHE: dict[tuple[str, int, str], Measured] = {}
+# Keyed like the disk artifact: (design name, config, n_matrices, engine).
+# One name can carry two configs (Table II's ``xls-s8`` is ``opt``, Fig. 1's
+# is ``stages-8``), and two engines' measurements must not shadow each other.
+_CACHE: dict[tuple[str, str, int, str], Measured] = {}
 
 
 def clear_measure_cache() -> None:
@@ -94,33 +95,43 @@ def clear_measure_cache() -> None:
     _CACHE.clear()
 
 
-def measure_design(design: Design, n_matrices: int = 4,
+def measure_design(point: Design | Recipe, n_matrices: int = 4,
                    use_cache: bool = True, engine: str = "compiled") -> Measured:
-    """Fully characterize ``design`` (cached per process by name).
+    """Fully characterize a design point (cached per process).
+
+    ``point`` is a built :class:`Design` or a :class:`Recipe`; a recipe is
+    built only when neither cache holds the measurement.  A recipe that
+    fails to build raises its error with phase ``frontend.build``.
 
     When an artifact cache is active (:func:`repro.cache.active`) the
     result is also looked up on — and persisted to — disk, keyed by the
     design identity, the measurement parameters, and the source-tree
     code digest, so repeat sweeps (and other commands measuring the same
-    design points) skip simulation and synthesis entirely.
+    design points) skip building, simulation and synthesis entirely.
     """
-    memo_key = (design.name, n_matrices, engine)
+    memo_key = (point.name, point.config, n_matrices, engine)
     if use_cache and memo_key in _CACHE:
-        obs_trace.event("measure.cache_hit", design=design.name)
+        obs_trace.event("measure.cache_hit", design=point.name)
         obs_metrics.inc("measure.cache_hits")
         return _CACHE[memo_key]
     disk = artifact_cache.active() if use_cache else None
     key = None
     if disk is not None:
         key = artifact_cache.artifact_key(
-            "measured", design.name, design.config,
+            "measured", point.name, point.config,
             n_matrices=n_matrices, engine=engine)
         payload = disk.get_json("measured", key)
         if payload is not None:
-            obs_trace.event("measure.disk_cache_hit", design=design.name)
+            obs_trace.event("measure.disk_cache_hit", design=point.name)
             measured = Measured.from_dict(payload)
             _CACHE[memo_key] = measured
             return measured
+    design = point
+    if isinstance(point, Recipe):
+        try:
+            design = point.build()
+        except ReproError as exc:
+            raise exc.with_context(design=point.name, phase="frontend.build")
     with obs_trace.span("measure", design=design.name, tool=design.tool,
                         config=design.config):
         if "maxj" in design.meta:

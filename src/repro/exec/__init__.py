@@ -18,10 +18,10 @@ byte-identical to a serial run:
 """
 
 from .executor import DEFAULT_MAX_TASKS_PER_CHILD, Executor, LocalExecutor
-from .parallel import ParallelSweepRunner, PrebuiltPoint
+from .parallel import ParallelSweepRunner
 from .tasks import SweepTask, TaskSchemaError, fig1_tasks, table2_tasks
 from .worker import WorkerContext
 
-__all__ = ["ParallelSweepRunner", "PrebuiltPoint", "SweepTask",
+__all__ = ["ParallelSweepRunner", "SweepTask",
            "TaskSchemaError", "WorkerContext", "Executor", "LocalExecutor",
            "fig1_tasks", "table2_tasks", "DEFAULT_MAX_TASKS_PER_CHILD"]

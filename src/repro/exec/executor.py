@@ -148,11 +148,6 @@ class LocalExecutor:
             obs_metrics.inc("exec.worker_restarts")
             obs_events.emit("worker.restart", crashes=crashes,
                             lost=len(lost_ids), tasks=lost_ids)
-            if tasks[0].kind == "fig1":
-                # Enumerate Fig. 1 in the parent (once; it is memoized),
-                # so this respawn and every later one inherit it instead
-                # of rebuilding it.
-                worker_mod._fig1_item(tasks[0])
 
         def respawn(slot: int) -> bool:
             # A spent worker's slot re-forks while tasks wait for a lease.

@@ -14,16 +14,16 @@
    (:func:`~repro.eval.experiments.generate_table2` /
    :func:`~repro.eval.experiments.generate_fig1`) run as usual, but
    every ``measure`` call is satisfied from the prefetched records
-   instead of re-simulating.  Because records round-trip measurements
-   exactly (the same JSON float guarantee the resume path relies on),
-   rendered stdout is byte-identical to a serial run.
+   instead of re-simulating, so the parent builds no Figure 1 recipe.
+   Because records round-trip measurements exactly (the same JSON float
+   guarantee the resume path relies on), rendered stdout is
+   byte-identical to a serial run.
 
 Checkpointing, resume, stats, and the deterministic
 ``REPRO_ABORT_AFTER`` interrupt all live in the consume phase via the
 inherited :meth:`SweepRunner.commit` bookkeeping, so an interrupted
 parallel sweep leaves the same checkpoint prefix a serial one would,
-and a resumed parallel sweep skips re-measuring checkpointed designs
-(workers still *build* them, in parallel, to learn their names).
+and a resumed parallel sweep skips re-measuring checkpointed designs.
 
 **Worker supervision.**  A worker process dying (SIGKILL, segfault, OOM
 kill — or a :class:`~repro.chaos.ChaosPolicy` drill) is charged to
@@ -38,7 +38,7 @@ every surviving point and resume semantics are unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .. import chaos as chaos_mod
 from .. import obs
@@ -55,18 +55,7 @@ from .tasks import SweepTask
 from .worker import WorkerContext
 from . import worker as worker_mod
 
-__all__ = ["ParallelSweepRunner", "PrebuiltPoint",
-           "DEFAULT_MAX_TASKS_PER_CHILD"]
-
-
-@dataclass
-class PrebuiltPoint:
-    """A deferred Fig. 1 point resolved by a worker (no parent rebuild)."""
-
-    name: str | None
-    config: str | None
-    result: DesignResult | None
-    build_error: dict | None = None
+__all__ = ["ParallelSweepRunner", "DEFAULT_MAX_TASKS_PER_CHILD"]
 
 
 class ParallelSweepRunner(SweepRunner):
@@ -89,7 +78,6 @@ class ParallelSweepRunner(SweepRunner):
         self._executor = executor
         self.stats.update({"worker_restarts": 0, "poisoned": 0})
         self._prefetched: dict[str, dict] = {}
-        self._deferred: dict[tuple[str, str], dict] = {}
         self._prefetch_done = False
 
     # ------------------------------------------------------------------
@@ -148,22 +136,6 @@ class ParallelSweepRunner(SweepRunner):
                             poisoned=self.stats["poisoned"])
         return len(self._prefetched)
 
-    def _identify(self, task: SweepTask):
-        """``(label, design-or-None)`` — ``None`` for deferred points.
-
-        Resolves through the worker module's per-process memos, which the
-        parent also owns under the fork start method; deferred Fig. 1
-        factories are *not* invoked (a crashing build must not take the
-        parent down), their enumeration label suffices.
-        """
-        if task.kind == "fig1":
-            item = worker_mod._fig1_item(task)
-            if isinstance(item, tuple):
-                return item[0], None
-            return item.name, item
-        design = worker_mod._table2_design(task)
-        return design.name, design
-
     def _quarantine(self, index: int, crashes: int) -> None:
         """Record a poison task as an honest ``FAILED(…)`` design point."""
         task = self.tasks[index]
@@ -173,20 +145,13 @@ class ParallelSweepRunner(SweepRunner):
                         key=task.key, index=task.index, crashes=crashes)
         obs_events.emit("worker.poison", task=worker_mod.task_id(task),
                         crashes=crashes)
-        label, design = self._identify(task)
+        name = task.recipe().name
         error = failure_record(WorkerCrashError(
             f"worker process died {crashes} times running this design "
-            f"point; quarantined", design=label, phase="exec.worker",
+            f"point; quarantined", design=name, phase="exec.worker",
             task=worker_mod.task_id(task)))
-        if design is None:
-            # Deferred Fig. 1 point: surface through the same channel a
-            # worker-side build failure uses.
-            self._deferred[(task.key, label)] = {
-                "build_error": error, "name": None, "config": label,
-                "record": None}
-        else:
-            self._prefetched[design.name] = make_record(
-                design.name, status="failed", error=error, attempts=crashes)
+        self._prefetched[name] = make_record(
+            name, status="failed", error=error, attempts=crashes)
 
     def _merge(self, results: list[dict | None],
                under: int | None = None) -> None:
@@ -200,8 +165,6 @@ class ParallelSweepRunner(SweepRunner):
             if res["stats"]:
                 self.stats["retries"] += res["stats"]["retries"]
                 self.stats["degraded_runs"] += res["stats"]["degraded_runs"]
-            if res["deferred"]:
-                self._deferred[(res["key"], res["label"])] = res
             if not res["skipped"] and res["record"] and res["name"]:
                 self._prefetched[res["name"]] = res["record"]
 
@@ -212,28 +175,3 @@ class ParallelSweepRunner(SweepRunner):
         if record is None:
             return super()._measure_with_retries(design)
         return result_from_record(record)
-
-    def deferred_result(self, tool: str, config: str) -> PrebuiltPoint | None:
-        """Resolve a deferred ``(config, factory)`` Fig. 1 point.
-
-        Returns ``None`` when no worker handled this point (the caller
-        builds and measures inline, exactly like a serial sweep).  A
-        checkpoint record still takes precedence over a prefetched
-        measurement, preserving resume semantics.
-        """
-        res = self._deferred.pop((tool, config), None)
-        if res is None:
-            return None
-        if res["build_error"] is not None:
-            return PrebuiltPoint(name=None, config=config, result=None,
-                                 build_error=res["build_error"])
-        name = res["name"]
-        self._prefetched.pop(name, None)
-        cached = self._from_checkpoint(name)
-        if cached is not None:
-            return PrebuiltPoint(name=name, config=res["config"],
-                                 result=cached)
-        if res["record"] is None:
-            return None
-        result = self.commit(result_from_record(res["record"]))
-        return PrebuiltPoint(name=name, config=res["config"], result=result)

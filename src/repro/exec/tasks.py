@@ -2,11 +2,12 @@
 
 A :class:`SweepTask` never carries a built design (netlists hold cyclic,
 process-local structure): it carries the *coordinates* of a point in a
-deterministic enumeration that every process can rebuild identically —
-Table II pairs come from :data:`repro.eval.experiments.PAIRS`, Figure 1
-points from :func:`repro.eval.experiments.fig1_design_lists` with the
-same sizes.  ``(kind, key, index)`` therefore names the same design
-point in the parent and in every worker.
+deterministic recipe enumeration that every process derives identically —
+Table II pairs come from :data:`repro.eval.experiments.PAIR_RECIPES`,
+Figure 1 points from :func:`repro.eval.experiments.fig1_design_lists`
+with the same sizes.  ``(kind, key, index)`` therefore names the same
+design point in the parent and in every worker, and
+:meth:`SweepTask.recipe` finds it without building anything.
 """
 
 from __future__ import annotations
@@ -52,6 +53,15 @@ class SweepTask:
             "ctx": list(self.ctx),
         }
 
+    def recipe(self):
+        """The :class:`~repro.frontends.base.Recipe` this task addresses."""
+        from ..eval.experiments import PAIR_RECIPES, fig1_design_lists
+
+        if self.kind == "fig1":
+            lists = dict(fig1_design_lists(**dict(self.sizes)))
+            return lists[self.key][self.index]
+        return PAIR_RECIPES[self.key][self.index]
+
     @classmethod
     def from_record(cls, record: dict) -> "SweepTask":
         """Rebuild a task from its wire form; reject unknown schemas."""
@@ -72,9 +82,9 @@ class SweepTask:
 
 def table2_tasks(tools: list[str] | None = None) -> list[SweepTask]:
     """One task per Table II design point, in generation order."""
-    from ..eval.experiments import PAIRS
+    from ..eval.experiments import PAIR_RECIPES
 
-    keys = list(tools) if tools else list(PAIRS)
+    keys = list(tools) if tools else list(PAIR_RECIPES)
     if "Verilog/Vivado" not in keys:
         keys = ["Verilog/Vivado"] + keys
     return [SweepTask("table2", key, index)
@@ -85,10 +95,10 @@ def fig1_tasks(design_lists: list[tuple[str, list]],
                sizes: dict) -> list[SweepTask]:
     """One task per Figure 1 design point, in generation order.
 
-    ``design_lists`` is the parent's already-built
+    ``design_lists`` is the parent's
     :func:`~repro.eval.experiments.fig1_design_lists` structure (only
     point *counts* are read here); ``sizes`` are the keyword arguments
-    that produced it, shipped so workers can rebuild the identical
+    that produced it, shipped so workers can derive the identical
     enumeration.
     """
     packed = tuple(sorted(sizes.items()))

@@ -1,8 +1,8 @@
 """Worker-process side of the sharded sweep executor.
 
-A worker decodes a broker lease (:func:`lease_payload`), resolves its
-:class:`~repro.exec.tasks.SweepTask` back into a built design, measures
-it through a private
+A worker decodes a broker lease (:func:`lease_payload`), looks up the
+recipe its :class:`~repro.exec.tasks.SweepTask` addresses, measures it
+through a private
 :class:`~repro.resilience.runner.SweepRunner` carrying the sweep's
 budget/retry policy, and ships the outcome back as plain dicts:
 
@@ -12,12 +12,12 @@ budget/retry policy, and ships the outcome back as plain dicts:
   parent's deterministic task-order merge;
 * its artifact-cache stats delta.
 
-Design enumerations are memoized per worker process, so a worker
-building the Figure 1 structure once serves every point it is handed.
-Workers never checkpoint and never abort: the parent owns the
-checkpoint (written in serial consume order) and the deterministic
-``REPRO_ABORT_AFTER`` hook, which is why :meth:`WorkerContext.apply`
-drops that variable from the worker's environment.
+A recipe is built only when the artifact cache misses, so a warm sweep
+builds nothing.  Workers never checkpoint and never abort: the parent
+owns the checkpoint (written in serial consume order) and the
+deterministic ``REPRO_ABORT_AFTER`` hook, which is why
+:meth:`WorkerContext.apply` drops that variable from the worker's
+environment.
 """
 
 from __future__ import annotations
@@ -29,11 +29,9 @@ from dataclasses import dataclass
 from .. import cache as cache_mod
 from .. import chaos as chaos_mod
 from .. import obs
-from ..core.errors import ReproError
 from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..resilience.errors import failure_record
 from ..resilience.runner import (
     ABORT_ENV,
     RunnerConfig,
@@ -44,10 +42,6 @@ from .tasks import SweepTask
 
 __all__ = ["WorkerContext", "lease_payload", "run_task", "serve_leases",
            "task_id"]
-
-# Per-worker-process memos: fig1 enumerations by sizes, table2 pairs by key.
-_FIG1_LISTS: dict[tuple, dict] = {}
-_TABLE2_PAIRS: dict[str, tuple] = {}
 
 
 @dataclass(frozen=True)
@@ -90,25 +84,6 @@ def task_id(task: SweepTask) -> str:
     return f"{task.kind}:{task.key}:{task.index}"
 
 
-def _fig1_item(task: SweepTask):
-    lists = _FIG1_LISTS.get(task.sizes)
-    if lists is None:
-        from ..eval.experiments import fig1_design_lists
-
-        lists = _FIG1_LISTS[task.sizes] = dict(
-            fig1_design_lists(**dict(task.sizes)))
-    return lists[task.key][task.index]
-
-
-def _table2_design(task: SweepTask):
-    pair = _TABLE2_PAIRS.get(task.key)
-    if pair is None:
-        from ..eval.experiments import PAIRS
-
-        pair = _TABLE2_PAIRS[task.key] = PAIRS[task.key]()
-    return pair[task.index]
-
-
 def lease_payload(lease: dict) -> dict:
     """A broker lease in the :func:`run_task` payload shape."""
     return {
@@ -133,13 +108,13 @@ def serve_leases(slot: int, conn, context: WorkerContext) -> None:
 
 
 def run_task(payload: dict) -> dict:
-    """Resolve, build, and measure one task; never raises ``ReproError``.
+    """Look up and measure one task; never raises ``ReproError``.
 
     ``payload`` carries ``task`` (a :class:`SweepTask` wire record, see
     :meth:`SweepTask.to_record`), ``config`` (the sweep's
     :class:`~repro.resilience.runner.RunnerConfig`), ``inject``
-    (forced-failure design names), ``skip`` (names already checkpointed —
-    built for identification but not re-measured), and ``trace``.
+    (forced-failure design names), ``skip`` (names already checkpointed,
+    not re-measured), and ``trace``.
     """
     task = payload["task"]
     if isinstance(task, dict):
@@ -164,47 +139,29 @@ def run_task(payload: dict) -> dict:
     cache_before = dict(cache.stats) if cache is not None else None
     out = {
         "kind": task.kind, "key": task.key, "index": task.index,
-        "deferred": False, "label": None, "name": None, "config": None,
-        "record": None, "build_error": None, "skipped": False,
+        "name": None, "record": None, "skipped": False,
         "stats": None, "spans": [], "metrics": None, "cache": None,
         "events": [],
     }
     try:
         with obs_trace.span("exec.task", task=task_id(task),
                             attempt=payload.get("attempt", 0)):
-            design = None
-            if task.kind == "fig1":
-                item = _fig1_item(task)
-                if isinstance(item, tuple):
-                    out["deferred"] = True
-                    label, factory = item
-                    out["label"] = out["config"] = label
-                    try:
-                        design = factory()
-                    except ReproError as exc:
-                        out["build_error"] = failure_record(
-                            exc, design=label, phase="frontend.build")
-                else:
-                    design = item
+            recipe = task.recipe()
+            out["name"] = recipe.name
+            if recipe.name in payload.get("skip", ()):
+                out["skipped"] = True
             else:
-                design = _table2_design(task)
-            if design is not None:
-                out["name"] = design.name
-                out["config"] = design.config
-                if design.name in payload.get("skip", ()):
-                    out["skipped"] = True
-                else:
-                    runner = SweepRunner(
-                        config=payload["config"],
-                        inject_failures=payload.get("inject", ()),
-                        abort_after=None,
-                    )
-                    result = runner._measure_with_retries(design)
-                    out["record"] = result_to_record(result)
-                    out["stats"] = {
-                        "retries": runner.stats["retries"],
-                        "degraded_runs": runner.stats["degraded_runs"],
-                    }
+                runner = SweepRunner(
+                    config=payload["config"],
+                    inject_failures=payload.get("inject", ()),
+                    abort_after=None,
+                )
+                result = runner._measure_with_retries(recipe)
+                out["record"] = result_to_record(result)
+                out["stats"] = {
+                    "retries": runner.stats["retries"],
+                    "degraded_runs": runner.stats["degraded_runs"],
+                }
     finally:
         if trace_on:
             out["spans"] = [rec.to_dict() for rec in obs_trace.events()]

@@ -112,7 +112,8 @@ def run_worker(master: str, worker_id: str | None = None, *,
     """Pull-and-run until the master goes away; returns tasks completed.
 
     ``once`` returns after the first idle poll that follows completed
-    work (the smoke-test form); ``max_idle_s`` bounds how long a worker
+    work, this worker's or a finished sweep on the master (the
+    smoke-test form); ``max_idle_s`` bounds how long a worker
     waits for its first task.  ``bootstrap=False`` skips the
     process-wide :class:`WorkerContext` install (for in-process tests
     that must not clobber the host's obs/cache state).
@@ -135,10 +136,11 @@ def run_worker(master: str, worker_id: str | None = None, *,
                     f"cannot reach fabric master at {master}: {exc}")
             return completed   # master gone: a worker has nothing to do
         connected = True
-        leases = (reply.get("leases") if isinstance(reply, dict) else None) \
-            or []
+        if not isinstance(reply, dict):
+            reply = {}
+        leases = reply.get("leases") or []
         if status != 200 or not leases:
-            if once and completed:
+            if once and (completed or reply.get("finished")):
                 return completed
             now = time.monotonic()
             if idle_since is None:

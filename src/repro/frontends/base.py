@@ -2,11 +2,14 @@
 
 A :class:`Design` is what every frontend produces and what the evaluation
 harness consumes: a named, AXI-wrapped top module plus the source artifacts
-whose lines of code the paper's L metric counts.
+whose lines of code the paper's L metric counts.  A :class:`Recipe` is a
+design point before it is built: its final name and config as data, plus
+the factory that builds it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import inspect
 from dataclasses import dataclass, field
@@ -18,8 +21,8 @@ from ..rtl.ir import Expr, Signal, Slice
 from ..rtl.module import Module
 from ..rtl import ops
 
-__all__ = ["Design", "SourceArtifact", "unpack_elements", "pack_elements",
-           "source_of", "traced_build"]
+__all__ = ["Design", "Recipe", "SourceArtifact", "unpack_elements",
+           "pack_elements", "source_of", "traced_build"]
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,26 @@ class Design:
     @property
     def is_optimized(self) -> bool:
         return self.config != "initial"
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """A design point as data: what it is called and how to build it.
+
+    ``name`` and ``config`` are exactly the built :class:`Design`'s, so
+    everything keyed by them — the artifact cache, the checkpoint, a
+    sweep's prefetched results — is reachable without calling ``build``.
+    """
+
+    name: str
+    tool: str
+    config: str
+    build: Callable[[], Design]
+
+    def once(self) -> "Recipe":
+        """A copy whose ``build`` runs at most once and then returns the
+        same design."""
+        return dataclasses.replace(self, build=functools.cache(self.build))
 
 
 def traced_build(frontend: str):

@@ -33,7 +33,7 @@ from ..core.errors import (
     SweepPreempted,
 )
 from ..eval.measure import Measured, measure_design
-from ..frontends.base import Design
+from ..frontends.base import Design, Recipe
 from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
@@ -145,9 +145,10 @@ class SweepRunner:
                       "checkpoint_hits": 0}
 
     # ------------------------------------------------------------------
-    def measure(self, design: Design) -> DesignResult:
-        """Measure ``design`` under the runner's policy; never raises on
-        per-design failure (see module docstring for the exceptions)."""
+    def measure(self, design: Design | Recipe) -> DesignResult:
+        """Measure a built design or a recipe under the runner's policy;
+        never raises on per-design failure (see module docstring for the
+        exceptions)."""
         cached = self._from_checkpoint(design.name)
         if cached is not None:
             return cached
@@ -209,9 +210,11 @@ class SweepRunner:
             plan.append(True)
         return plan
 
-    def _measure_with_retries(self, design: Design) -> DesignResult:
+    def _measure_with_retries(self, design: Design | Recipe) -> DesignResult:
         config = self.config
         plan = self._attempt_plan()
+        if isinstance(design, Recipe):
+            design = design.once()  # retries reuse one build
         last_error: dict | None = None
         for attempt, degraded in enumerate(plan, start=1):
             if attempt > 1:
@@ -237,6 +240,12 @@ class SweepRunner:
                                 error=last_error["type"])
                 if isinstance(exc, BudgetExceeded):
                     obs_metrics.inc("resilience.budget_exceeded")
+                if last_error["phase"] == "frontend.build":
+                    # A point that cannot be built fails the same way on
+                    # every attempt: record it without retrying.
+                    return DesignResult(name=design.name, status="failed",
+                                        error=last_error, attempts=attempt,
+                                        degraded=degraded)
                 continue
             return DesignResult(name=design.name, status="ok",
                                 measured=measured, attempts=attempt,
@@ -245,7 +254,7 @@ class SweepRunner:
                             error=last_error, attempts=len(plan),
                             degraded=config.degrade)
 
-    def _attempt(self, design: Design, degraded: bool) -> Measured:
+    def _attempt(self, design: Design | Recipe, degraded: bool) -> Measured:
         config = self.config
         if design.name in self.inject_failures:
             raise ScheduleError("injected fault (forced sweep failure)",

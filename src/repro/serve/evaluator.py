@@ -2,12 +2,12 @@
 
 A :class:`DesignEvaluator` is built once per design name and then serves
 every batch that the :class:`~repro.serve.batcher.MicroBatcher` coalesces
-for that design.  Construction is the *warm start*: the design is built,
+for that design.  Construction is the *warm start*: the design point is
 fully measured through :func:`~repro.eval.measure.measure_design` (which
-consults the content-addressed artifact cache when one is active), and
-rejected outright unless it verified bit-exact against the golden model —
-a service must never serve blocks through a design whose hardware output
-is wrong.
+consults the content-addressed artifact cache when one is active, and
+builds the design only on a miss), and rejected outright unless it
+verified bit-exact against the golden model — a service must never serve
+blocks through a design whose hardware output is wrong.
 
 Three evaluation engines (the ``"serve"`` context of the
 :mod:`repro.engines` registry) share one results contract (bit-identical
@@ -78,15 +78,17 @@ class DesignEvaluator:
     ENGINES = engine_names("serve")
 
     def __init__(self, name: str, session=None) -> None:
-        if session is None:
-            from ..api import Session
+        from ..api import Session, resolve_recipe
 
+        if session is None:
             session = Session()
-        self.design = session.build(name)
-        self.name = self.design.name
+        # Built at most once, and only if the measurement misses every
+        # cache or a sim/batch request needs the netlist and spec.
+        self._recipe = resolve_recipe(name).once()
+        self.name = self._recipe.name
         # Warm start: a full (cache-aware) measurement doubles as the
         # bit-exactness proof that licenses the vectorized model engine.
-        self.measured = session.measure(self.name)
+        self.measured = session.measure(self._recipe)
         if not self.measured.bit_exact:
             raise EvaluationError(
                 f"{self.name} is not bit-exact against the golden model; "
@@ -95,6 +97,11 @@ class DesignEvaluator:
         self._sim = None
         self._harness = None
         self._batch_runner = None
+
+    @property
+    def design(self):
+        """The built design point (built on first use)."""
+        return self._recipe.build()
 
     # ------------------------------------------------------------------
     def _get_netlist(self):

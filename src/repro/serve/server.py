@@ -835,7 +835,12 @@ class EvalServer:
             limit = int(payload.get("limit", 1))
         except (TypeError, ValueError):
             return error_response("bad 'limit'", 400)
-        return json_response({"leases": self.fabric.lease(worker, limit)})
+        leases = self.fabric.lease(worker, limit)
+        # Lets an idle `work --once` worker tell "no sweep yet" from "its
+        # siblings ran every task".
+        finished = sum(sweep.state != "running"
+                       for sweep in self.fabric.sweeps.values())
+        return json_response({"leases": leases, "finished": finished})
 
     def _task_heartbeat(self, task_id: str, request: Request) -> Response:
         payload = request.json()

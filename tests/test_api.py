@@ -66,17 +66,6 @@ class TestResolveDesign:
         assert NAME_ALIASES["xls-initial"] == "xls-s0"
 
 
-class TestDeprecatedCliShims:
-    def test_cli_private_names_still_importable(self):
-        from repro import cli
-
-        assert cli._PREFIX_ALIASES is PREFIX_ALIASES
-        assert cli._NAME_ALIASES is NAME_ALIASES
-        assert cli._canonical_name("vlog-opt") == "verilog-opt"
-        design, _ = cli._find_design("flow-opt")
-        assert design.name == "xls-s8"
-
-
 class TestSession:
     def test_build_and_measure(self, tmp_path):
         session = Session(cache=tmp_path / "cache")

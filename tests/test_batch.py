@@ -344,7 +344,7 @@ class TestVerifyCaching:
         finally:
             obs.disable()
             obs.clear()
-        assert ("verilog-initial", 4, "compiled") not in _CACHE
+        assert ("verilog-initial", "initial", 4, "compiled") not in _CACHE
         assert fresh.bit_exact
 
     def test_measure_memo_is_engine_keyed(self):
@@ -352,8 +352,8 @@ class TestVerifyCaching:
         design = verilog_initial()
         compiled = measure_design(design, engine="compiled")
         batch = measure_design(design, engine="batch")
-        assert ((design.name, 4, "compiled") in _CACHE
-                and (design.name, 4, "batch") in _CACHE)
+        assert ((design.name, design.config, 4, "compiled") in _CACHE
+                and (design.name, design.config, 4, "batch") in _CACHE)
         # two engines, one truth: identical measurements either way
         assert compiled == batch
         clear_measure_cache()

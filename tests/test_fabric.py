@@ -253,6 +253,22 @@ class TestFabricHTTP:
         assert status == 409
         assert server.stop() == 0
 
+    def test_idle_once_worker_exits_when_a_sweep_finishes(self):
+        """A ``--once`` worker whose siblings ran every task still exits:
+        the lease reply counts finished sweeps."""
+
+        class ScriptedClient:
+            replies = [{"leases": [], "finished": 0},
+                       {"leases": [], "finished": 1}]
+
+            def request(self, method, path, payload=None):
+                return 200, self.replies.pop(0)
+
+        client = ScriptedClient()
+        assert run_worker("unused", client=client, once=True, poll_s=0.0,
+                          bootstrap=False) == 0
+        assert client.replies == []
+
     def test_artifacts_are_content_addressed(self, live, tmp_path):
         cache = ArtifactCache(str(tmp_path))
         server = live(session=Session(cache=cache))

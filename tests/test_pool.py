@@ -328,3 +328,24 @@ class TestObsIngestion:
         snapshot = obs_metrics.snapshot()
         assert snapshot["counters"].get("serve.sim_invocations") == 1
         assert snapshot["counters"].get("serve.blocks_total") == 2
+
+    def test_worker_warm_start_from_cache_builds_nothing(self, tmp_path):
+        from repro.eval.measure import clear_measure_cache
+        from repro.idct.reference import chen_wang_idct
+        from repro.obs import trace as obs_trace
+
+        clear_measure_cache()  # fill the disk cache, not just the memo
+        cached = Session(cache=tmp_path)
+        cached.measure(DESIGN)
+        clear_measure_cache()  # the forked worker must read the disk cache
+        obs.enable()
+        blocks = _blocks(2)
+
+        async def body(pool):
+            return await pool.evaluate(DESIGN, "model", blocks)
+
+        out = _run(_with_pool(cached, body, obs_on=True, size=1))
+        assert out == [chen_wang_idct(block) for block in blocks]
+        names = [rec.name for rec in obs_trace.events()]
+        assert "measure.disk_cache_hit" in names
+        assert "frontend.build" not in names

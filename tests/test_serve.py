@@ -587,6 +587,33 @@ class TestCircuitBreakerHTTP:
         assert server.stop() == 0
 
 
+class TestWarmStartBuilds:
+    def test_cached_design_is_served_without_a_build(self, tmp_path):
+        """A warm start from the artifact cache builds nothing; the first
+        sim request builds the design once."""
+        from repro.eval.measure import clear_measure_cache
+
+        clear_measure_cache()
+        Session(cache=tmp_path).measure(DESIGN)
+        clear_measure_cache()
+        server = _LiveServer(Session(cache=tmp_path), batch_wait_s=0.0,
+                             warm=(DESIGN,))
+
+        def request(engine):
+            status, _body = server.request(
+                "POST", "/v1/idct",
+                {"design": DESIGN, "blocks": _blocks(1), "engine": engine})
+            assert status == 200
+            return sum(rec.name == "frontend.build"
+                       for rec in obs.trace.events())
+
+        assert request("model") == 0
+        assert request("model") == 0
+        assert request("sim") == 1
+        assert request("batch") == 1
+        assert server.stop() == 0
+
+
 class TestMultiProcessServing:
     def test_single_process_mode_reports_no_workers(self, live):
         """--workers 1 keeps the in-process compute thread: /healthz
