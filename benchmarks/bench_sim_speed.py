@@ -10,7 +10,7 @@ from repro.axis import StreamHarness
 from repro.eval.verify import random_matrices
 from repro.frontends.vlog import verilog_opt
 from repro.obs import trace as obs_trace
-from repro.sim import BatchStreamRunner, Simulator
+from repro.sim import BatchSimulator, Simulator
 
 BATCH_BLOCKS = 256
 BATCH_LANES = 16
@@ -46,7 +46,7 @@ def test_sim_throughput_batch(benchmark):
     """Lane-packed batch engine vs the scalar compiled simulator.
 
     Each round streams :data:`BATCH_BLOCKS` random matrices through a
-    16-lane :class:`BatchStreamRunner` — the production configuration of
+    16-lane :class:`BatchSimulator` harness — the production configuration of
     the serve tier's ``"batch"`` engine.  The >=5x acceptance bar is
     argued from obs span data rather than ad-hoc timing: ``sim.stream``
     and ``sim.batch.stream`` spans record duration, blocks, and (via the
@@ -56,7 +56,7 @@ def test_sim_throughput_batch(benchmark):
     whole 16-block cohort where the scalar engine settles per block.
     """
     design = verilog_opt()
-    runner = BatchStreamRunner(design.top, design.spec, lanes=BATCH_LANES)
+    runner = StreamHarness(BatchSimulator(design.top, BATCH_LANES), design.spec)
     blocks = [[list(row) for row in m]
               for m in random_matrices(BATCH_BLOCKS)]
 

@@ -323,13 +323,18 @@ def _cmd_verify(args) -> int:
     # to `--engine compiled` (asserted by the check.sh engine smoke).
     status = "OK (bit-exact)" if measured.bit_exact else "MISMATCH"
     print(f"{name}: {status}")
+    _print_measured(measured)
+    return 0 if measured.bit_exact else 1
+
+
+def _print_measured(measured) -> None:
+    """The latency, fmax and area lines ``verify`` and ``measure`` share."""
     print(f"  latency {measured.latency} cycles, periodicity "
           f"{measured.periodicity} cycles")
     print(f"  fmax {measured.fmax_mhz:.2f} MHz, throughput "
           f"{measured.throughput_mops:.2f} MOPS")
     print(f"  area {measured.area} (N*LUT {measured.lut_star} + "
           f"N*FF {measured.ff_star}), {measured.dsp} DSP, {measured.n_io} IO")
-    return 0 if measured.bit_exact else 1
 
 
 def _cmd_measure(args) -> int:
@@ -352,13 +357,7 @@ def _cmd_measure(args) -> int:
         print(f"{measured.name} ({measured.language}/{measured.tool}, "
               f"{measured.config})")
         print(f"  bit-exact: {measured.bit_exact}  loc {measured.loc}")
-        print(f"  latency {measured.latency} cycles, periodicity "
-              f"{measured.periodicity} cycles")
-        print(f"  fmax {measured.fmax_mhz:.2f} MHz, throughput "
-              f"{measured.throughput_mops:.2f} MOPS")
-        print(f"  area {measured.area} (N*LUT {measured.lut_star} + "
-              f"N*FF {measured.ff_star}), {measured.dsp} DSP, "
-              f"{measured.n_io} IO")
+        _print_measured(measured)
     _print_summaries(session)
     return 0 if measured.bit_exact else 1
 

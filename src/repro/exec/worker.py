@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from .. import cache as cache_mod
 from .. import chaos as chaos_mod
 from .. import obs
-from ..obs import events as obs_events
-from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..resilience.runner import (
     ABORT_ENV,
@@ -164,10 +162,7 @@ def run_task(payload: dict) -> dict:
                 }
     finally:
         if trace_on:
-            out["spans"] = [rec.to_dict() for rec in obs_trace.events()]
-            out["events"] = obs_events.EVENTS.events()
-            out["metrics"] = obs_metrics.snapshot()
-            obs.clear()
+            out.update(obs.collect())
         if cache is not None:
             out["cache"] = {key: cache.stats[key] - cache_before[key]
                             for key in cache.stats}

@@ -25,7 +25,7 @@ from . import events, metrics, report, trace
 from .trace import disable, enable, enabled
 
 __all__ = ["trace", "metrics", "events", "report", "enable", "disable",
-           "enabled", "clear", "ingest"]
+           "enabled", "clear", "collect", "ingest"]
 
 
 def clear() -> None:
@@ -33,6 +33,16 @@ def clear() -> None:
     trace.clear()
     metrics.clear()
     events.clear()
+
+
+def collect() -> dict:
+    """Drain this process's ``spans``/``events``/``metrics`` buffers for
+    shipping to a parent's :func:`ingest` (the buffers are cleared)."""
+    buffers = {"spans": [rec.to_dict() for rec in trace.events()],
+               "events": events.EVENTS.events(),
+               "metrics": metrics.snapshot()}
+    clear()
+    return buffers
 
 
 def ingest(buffers: dict, under: int | None = None) -> None:

@@ -18,14 +18,18 @@ batch_chen_wang` twin of the golden model, valid precisely because the
   warm start proved the design bit-exact against it.  One numpy call per
   batch, so throughput grows with batch size.
 * ``"sim"`` — the compiled cycle-accurate simulator: all blocks of the
-  batch are streamed through the design's AXI wrapper in a single
-  :meth:`~repro.axis.harness.StreamHarness.run_matrices` run, amortizing
-  pipeline fill across the batch.
+  batch are streamed through the design's AXI wrapper as one stream on
+  a one-lane :class:`~repro.sim.Simulator`, amortizing pipeline fill
+  across the batch.
 * ``"batch"`` — the lane-packed compiled simulator
-  (:class:`repro.sim.batch.BatchStreamRunner`): the batch's blocks run in
-  lockstep lanes of one settle/tick pass each cycle, so a coalesced
+  (:class:`~repro.sim.BatchSimulator`, 16 lanes): the batch's blocks run
+  in lockstep lanes of one settle/tick pass each cycle, so a coalesced
   window is cycle-accurate *and* amortizes the per-cycle Python cost
   across lanes.
+
+Both simulator engines go through the same driver,
+:meth:`~repro.axis.harness.StreamHarness.run_blocks`; they differ only
+in the lane count of the simulator under it.
 
 Every invocation records ``serve.sim_invocations`` / ``serve.blocks_total``
 counters and the ``serve.batch_size`` histogram, which is how both the
@@ -76,6 +80,8 @@ class DesignEvaluator:
     """One verified design point, kept hot for batched block evaluation."""
 
     ENGINES = engine_names("serve")
+    #: Simulator lanes behind the ``"batch"`` engine.
+    BATCH_LANES = 16
 
     def __init__(self, name: str, session=None) -> None:
         from ..api import Session, resolve_recipe
@@ -94,9 +100,7 @@ class DesignEvaluator:
                 f"{self.name} is not bit-exact against the golden model; "
                 f"refusing to serve it", design=self.name, phase="serve.warm")
         self._netlist = None
-        self._sim = None
-        self._harness = None
-        self._batch_runner = None
+        self._harnesses: dict[int, object] = {}   # lane count -> harness
 
     @property
     def design(self):
@@ -112,22 +116,19 @@ class DesignEvaluator:
             self._netlist = design_netlist(self.design)
         return self._netlist
 
-    def _sim_harness(self):
-        if self._harness is None:
+    def _harness(self, lanes: int):
+        """The stream harness over a ``lanes``-lane simulator, built once."""
+        harness = self._harnesses.get(lanes)
+        if harness is None:
             from ..axis.harness import StreamHarness
-            from ..sim import Simulator
+            from ..sim import BatchSimulator, Simulator
 
-            self._sim = Simulator(self._get_netlist())
-            self._harness = StreamHarness(self._sim, self.design.spec)
-        return self._harness
-
-    def _batch(self):
-        if self._batch_runner is None:
-            from ..sim.batch import BatchStreamRunner
-
-            self._batch_runner = BatchStreamRunner(
-                self._get_netlist(), self.design.spec, lanes=16)
-        return self._batch_runner
+            netlist = self._get_netlist()
+            sim = (Simulator(netlist) if lanes == 1
+                   else BatchSimulator(netlist, lanes))
+            harness = self._harnesses[lanes] = StreamHarness(
+                sim, self.design.spec)
+        return harness
 
     # ------------------------------------------------------------------
     def evaluate(self, blocks: list[Block], engine: str = "model") -> list[Block]:
@@ -158,9 +159,8 @@ class DesignEvaluator:
             obs_metrics.observe("serve.batch_size", len(blocks))
             if engine == "model":
                 return self._evaluate_model(blocks)
-            if engine == "batch":
-                return self._batch().run_blocks(blocks)
-            return self._evaluate_sim(blocks)
+            lanes = self.BATCH_LANES if engine == "batch" else 1
+            return self._harness(lanes).run_blocks(blocks)
 
     def _evaluate_model(self, blocks: list[Block]) -> list[Block]:
         import numpy as np
@@ -169,9 +169,3 @@ class DesignEvaluator:
 
         out = batch_chen_wang(np.asarray(blocks, dtype=np.int64))
         return [[[int(v) for v in row] for row in block] for block in out]
-
-    def _evaluate_sim(self, blocks: list[Block]) -> list[Block]:
-        harness = self._sim_harness()
-        self._sim.reset()
-        outputs, _timing = harness.run_matrices(blocks)
-        return outputs

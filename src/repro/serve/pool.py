@@ -54,6 +54,7 @@ import socket
 import time
 from dataclasses import dataclass, field
 
+from .. import obs
 from ..core.errors import (
     BudgetExceeded,
     EvaluationError,
@@ -198,7 +199,6 @@ def pool_worker_main(conn: socket.socket, init: WorkerInit) -> None:
     _close_inherited_fds(keep=frozenset({conn.fileno()}))
 
     from .. import chaos as chaos_mod
-    from .. import obs
     from ..api import Session
     from ..exec.worker import WorkerContext
     from ..resilience import budget as res_budget
@@ -242,10 +242,7 @@ def pool_worker_main(conn: socket.socket, init: WorkerInit) -> None:
             out["error"] = _error_payload(exc)
         finally:
             if trace_on:
-                out["spans"] = [rec.to_dict() for rec in obs_trace.events()]
-                out["events"] = obs_events.EVENTS.events()
-                out["metrics"] = obs_metrics.snapshot()
-                obs.clear()
+                out.update(obs.collect())
         return out
 
     def handle_sleep(req: dict) -> dict:
@@ -620,7 +617,9 @@ class WorkerPool:
 
     # -- reply handling ------------------------------------------------
     def _accept(self, reply: dict, design: str):
-        self._ingest(reply)
+        if obs_trace.enabled():
+            # Span ids are remapped; trace ids were stamped by the worker.
+            obs.ingest(reply)
         if reply.get("ok"):
             outputs = reply.get("outputs")
             if not isinstance(outputs, list):
@@ -629,17 +628,3 @@ class WorkerPool:
             return outputs
         raise _rebuild_error(reply.get("error") or {}, design)
 
-    def _ingest(self, reply: dict) -> None:
-        """Merge the worker's shipped obs buffers into the parent's
-        substrate (span ids remapped; trace ids already stamped)."""
-        if not obs_trace.enabled():
-            return
-        spans = reply.get("spans")
-        if spans:
-            obs_trace.TRACER.ingest(spans)
-        events = reply.get("events")
-        if events:
-            obs_events.EVENTS.ingest(events)
-        snap = reply.get("metrics")
-        if snap:
-            obs_metrics.merge_snapshot(snap)

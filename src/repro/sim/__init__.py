@@ -3,7 +3,6 @@
 from .batch import (
     BatchCompiled,
     BatchSimulator,
-    BatchStreamRunner,
     compile_batch,
     scalar_adapter,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "compile_netlist",
     "BatchCompiled",
     "BatchSimulator",
-    "BatchStreamRunner",
     "compile_batch",
     "scalar_adapter",
 ]

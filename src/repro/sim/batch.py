@@ -35,7 +35,7 @@ value and every guard bit is zero*:
   :mod:`repro.rtl.ir`, so the batch engine is bit-exact by construction
   even where it is not vectorized.
 
-Three consumers sit on top of :func:`compile_batch`:
+Two consumers sit on top of :func:`compile_batch`:
 
 * :func:`scalar_adapter` — a ``lanes=1`` compilation shaped like a
   :class:`~repro.sim.compile.CompiledNetlist`.  With one lane a packed
@@ -44,10 +44,11 @@ Three consumers sit on top of :func:`compile_batch`:
   ``verify``/``fig1``/``table2 --engine batch`` use, and why their output
   is byte-identical to ``--engine compiled``);
 * :class:`BatchSimulator` — a B-lane lockstep simulator with per-lane
-  poke/peek;
-* :class:`BatchStreamRunner` — streams N input blocks through B lockstep
-  copies of a wrapped design (one settle per clock for all lanes), used by
-  the serving tier's ``engine="batch"`` path and the throughput benchmark.
+  poke/peek and the packed slot interface of :class:`~repro.sim.Simulator`.
+  :meth:`StreamHarness.run_blocks <repro.axis.harness.StreamHarness.run_blocks>`
+  streams N blocks through its lanes (one settle per clock for all lanes);
+  the serving tier's ``engine="batch"`` path and the throughput benchmark
+  use it.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.errors import HarnessTimeout, ProtocolError, SimulationError
+from ..core.errors import SimulationError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..resilience import budget as res_budget
@@ -87,7 +88,6 @@ __all__ = [
     "compile_batch",
     "scalar_adapter",
     "BatchSimulator",
-    "BatchStreamRunner",
 ]
 
 
@@ -488,7 +488,7 @@ class BatchSimulator:
 
     The simulation contract matches :class:`~repro.sim.Simulator` (poke,
     implicit settle, observe, :meth:`step`), except pokes and peeks address
-    either one lane, all lanes, or the raw packed value.  Settling is lazy:
+    either one lane, all lanes, or a raw packed slot.  Settling is lazy:
     a driver that pokes, peeks, and steps once per cycle pays exactly one
     combinational pass per clock for all ``lanes`` instances.
     """
@@ -545,8 +545,8 @@ class BatchSimulator:
             raise SimulationError(f"signal {signal.name!r} is not in this netlist")
         return signal
 
-    def index_of(self, signal: Signal | str) -> int:
-        """The ``values`` index of a signal (for packed fast paths)."""
+    def slot(self, signal: Signal | str) -> int:
+        """The state-vector index of a signal, for :meth:`poke_slot`/:meth:`peek_slot`."""
         return self._index_of[self._resolve(signal)]
 
     # ------------------------------------------------------------------
@@ -579,11 +579,9 @@ class BatchSimulator:
         self._values[self._index_of[sig]] = packed
         self._dirty = True
 
-    def poke_packed(self, signal: Signal | str, packed: int) -> None:
+    def poke_slot(self, slot: int, packed: int) -> None:
         """Trusted fast path: drive a pre-packed value (lanes pre-masked)."""
-        sig = self._resolve(signal)
-        self._check_input(sig)
-        self._values[self._index_of[sig]] = packed
+        self._values[slot] = packed
         self._dirty = True
 
     def settle(self) -> None:
@@ -594,23 +592,22 @@ class BatchSimulator:
         self._dirty = False
         self.settles += 1
 
-    def peek_packed(self, signal: Signal | str) -> int:
-        """The settled packed value of any signal."""
-        sig = self._resolve(signal)
+    def peek_slot(self, slot: int) -> int:
+        """The settled packed value in a slot."""
         self.settle()
-        return self._values[self._index_of[sig]]
+        return self._values[slot]
 
     def peek_lanes(self, signal: Signal | str) -> list[int]:
         """The settled per-lane values of any signal."""
         sig = self._resolve(signal)
-        packed = self.peek_packed(sig)
+        packed = self.peek_slot(self._index_of[sig])
         msk = (1 << sig.width) - 1
         return [(packed >> (i * self.stride)) & msk for i in range(self.lanes)]
 
     def peek_lane(self, signal: Signal | str, lane: int) -> int:
         """One lane's settled value of any signal."""
         sig = self._resolve(signal)
-        packed = self.peek_packed(sig)
+        packed = self.peek_slot(self._index_of[sig])
         return (packed >> (lane * self.stride)) & ((1 << sig.width) - 1)
 
     # ------------------------------------------------------------------
@@ -635,199 +632,3 @@ class BatchSimulator:
     def compiled_source(self) -> str:
         """The generated lane-packed Python source (debugging aid)."""
         return self._compiled.source
-
-
-# ----------------------------------------------------------------------
-# lockstep block streaming
-# ----------------------------------------------------------------------
-
-class BatchStreamRunner:
-    """Streams N input blocks through B lockstep copies of a wrapped design.
-
-    Blocks are split into contiguous per-lane chunks and each lane streams
-    its chunk through its own copy of the AXI wrapper, all lanes advancing
-    on one shared clock: one lane-packed settle evaluates every instance.
-    Lanes that exhaust their input drive ``TVALID`` low and idle until the
-    stragglers finish; outputs reassemble in the original block order.
-
-    This is the data-parallel engine behind ``engine="batch"`` on the
-    serving tier — it trades the scalar harness's cycle-accurate timing
-    measurement (every lane has its own clock history) for one settle pass
-    per clock across the whole batch.
-    """
-
-    def __init__(self, design_top: Module | Netlist, spec,
-                 lanes: int = 8) -> None:
-        from ..axis.wrapper import AxisPorts
-
-        self.spec = spec
-        self.sim = BatchSimulator(design_top, lanes)
-        self.lanes = lanes
-        self._ix = {
-            name: self.sim.index_of(name)
-            for name in (AxisPorts.S_TDATA, AxisPorts.S_TVALID,
-                         AxisPorts.S_TLAST, AxisPorts.M_TREADY,
-                         AxisPorts.S_TREADY, AxisPorts.M_TVALID,
-                         AxisPorts.M_TDATA, AxisPorts.M_TLAST,
-                         AxisPorts.ERROR)
-        }
-
-    # ------------------------------------------------------------------
-    def run_blocks(self, blocks, signed_output: bool = True,
-                   timeout: int | None = None) -> list[list[list[int]]]:
-        """Stream ``blocks`` through the lanes and collect them in order."""
-        with obs_trace.span("sim.batch.stream", blocks=len(blocks),
-                            lanes=self.lanes) as span:
-            outputs, cycles = self._run(blocks, signed_output, timeout)
-            if obs_trace.enabled():
-                obs_metrics.inc("sim.batch.runs")
-                obs_metrics.inc("sim.batch.cycles", cycles)
-                obs_metrics.inc("sim.batch.blocks", len(blocks))
-                span.set(cycles=cycles,
-                         settles=self.sim.settles)
-            return outputs
-
-    def _run(self, blocks, signed_output: bool, timeout: int | None):
-        from ..axis.wrapper import AxisPorts
-
-        sim, spec = self.sim, self.spec
-        rows, cols = spec.rows, spec.cols
-        lanes, stride = self.lanes, sim.stride
-        in_width = spec.in_width
-        in_mask = (1 << in_width) - 1
-
-        chunk_size = -(-len(blocks) // lanes) if blocks else 0
-        chunks = [blocks[i * chunk_size:(i + 1) * chunk_size]
-                  for i in range(lanes)]
-        lane_beats: list[list[tuple[int, bool]]] = []
-        for chunk in chunks:
-            beats: list[tuple[int, bool]] = []
-            for matrix in chunk:
-                if len(matrix) != rows:
-                    raise SimulationError(f"matrix must have {rows} rows",
-                                          phase="sim.batch.stream")
-                for r, row in enumerate(matrix):
-                    # Inline pack_row (element 0 in the LSBs): building the
-                    # word beats a per-element helper call at these volumes.
-                    word = 0
-                    for v in reversed(row):
-                        word = (word << in_width) | (v & in_mask)
-                    beats.append((word, r == rows - 1))
-            lane_beats.append(beats)
-        expected = [len(chunk) * rows for chunk in chunks]
-        if timeout is None:
-            timeout = 64 * (max((len(b) for b in lane_beats), default=0) + 64)
-
-        sim.reset()
-        values = sim._values
-        ix = self._ix
-        i_in_data = ix[AxisPorts.S_TDATA]
-        i_in_valid = ix[AxisPorts.S_TVALID]
-        i_in_last = ix[AxisPorts.S_TLAST]
-        i_out_ready = ix[AxisPorts.M_TREADY]
-        i_in_ready = ix[AxisPorts.S_TREADY]
-        i_out_valid = ix[AxisPorts.M_TVALID]
-        i_out_data = ix[AxisPorts.M_TDATA]
-        i_out_last = ix[AxisPorts.M_TLAST]
-        out_row_mask = (1 << spec.out_row_bits) - 1
-
-        next_beat = [0] * lanes
-        out_words: list[list[int]] = [[] for _ in range(lanes)]
-        remaining = sum(expected)
-        cycle = 0
-        lane_range = range(lanes)
-
-        values[i_out_ready] = sim._ones  # sink always ready on every lane
-        while remaining:
-            if cycle > timeout:
-                self._raise_timeout(cycle, next_beat, lane_beats,
-                                    out_words, expected)
-            tv = td = tl = 0
-            for i in lane_range:
-                beats = lane_beats[i]
-                nb = next_beat[i]
-                if nb < len(beats):
-                    word, last = beats[nb]
-                    sh = i * stride
-                    tv |= 1 << sh
-                    td |= word << sh
-                    if last:
-                        tl |= 1 << sh
-            values[i_in_valid] = tv
-            values[i_in_data] = td
-            values[i_in_last] = tl
-            sim._dirty = True
-            sim.settle()
-
-            accept = tv & values[i_in_ready]
-            if accept:
-                for i in lane_range:
-                    if (accept >> (i * stride)) & 1:
-                        next_beat[i] += 1
-            out_valid = values[i_out_valid]
-            if out_valid:
-                out_data = values[i_out_data]
-                out_last = values[i_out_last]
-                for i in lane_range:
-                    sh = i * stride
-                    if (out_valid >> sh) & 1:
-                        words = out_words[i]
-                        if len(words) >= expected[i]:
-                            raise ProtocolError(
-                                f"lane {i} produced an unexpected output "
-                                f"beat at cycle {cycle}")
-                        expect_last = (len(words) % rows) == rows - 1
-                        if bool((out_last >> sh) & 1) != expect_last:
-                            raise ProtocolError(
-                                f"TLAST misaligned on lane {i} at cycle "
-                                f"{cycle}")
-                        words.append((out_data >> sh) & out_row_mask)
-                        remaining -= 1
-            sim.step()
-            cycle += 1
-
-        if sim.peek_packed(AxisPorts.ERROR):
-            raise ProtocolError(
-                f"wrapper raised sticky error by cycle {cycle}")
-
-        ow = spec.out_width
-        omask = (1 << ow) - 1
-        sign = 1 << (ow - 1) if signed_output else 0
-        shifts = [c * ow for c in range(cols)]
-        outputs: list[list[list[int]]] = []
-        for i in lane_range:
-            words = out_words[i]
-            for m in range(expected[i] // rows):
-                block = []
-                for r in range(rows):
-                    word = words[m * rows + r]
-                    # Inline unpack_row with branchless sign extension.
-                    block.append([
-                        ((word >> sh) & omask ^ sign) - sign
-                        for sh in shifts
-                    ])
-                outputs.append(block)
-        return outputs, cycle
-
-    def _raise_timeout(self, cycle, next_beat, lane_beats, out_words,
-                       expected):
-        from ..axis.wrapper import AxisPorts
-
-        # A stuck lane usually means the wrapper latched its sticky error;
-        # surface that as the (more specific) protocol failure.
-        if self.sim.peek_packed(AxisPorts.ERROR):
-            raise ProtocolError(
-                f"wrapper raised sticky error by cycle {cycle}")
-        obs_trace.event("sim.batch.timeout", cycles=cycle,
-                        beats_in=sum(next_beat),
-                        beats_out=sum(len(w) for w in out_words),
-                        expected_out=sum(expected))
-        obs_metrics.inc("sim.stream.timeouts")
-        raise HarnessTimeout(
-            f"batch stream run timed out at cycle {cycle} "
-            f"({sum(next_beat)}/{sum(len(b) for b in lane_beats)} beats in, "
-            f"{sum(len(w) for w in out_words)}/{sum(expected)} beats out)",
-            phase="sim.batch.stream", cycles=cycle,
-            beats_in=sum(next_beat),
-            beats_out=sum(len(w) for w in out_words),
-        )

@@ -12,7 +12,8 @@ semantics:
   :mod:`repro.rtl.ir`, used to cross-check both lowerings in tests;
 * ``engine="batch"`` — the same compiler with the lane-packed lowering
   of :mod:`repro.sim.batch`, run at one lane, so single-block use sites
-  can exercise the exact code the batch runner executes.
+  can exercise the exact code a multi-lane
+  :class:`~repro.sim.BatchSimulator` executes.
 
 The simulation contract per clock cycle: poke inputs, (implicitly) settle
 combinational logic, observe outputs, then :meth:`step` commits registers
@@ -37,7 +38,17 @@ __all__ = ["Simulator"]
 
 
 class Simulator:
-    """Single-clock synchronous simulator for an elaborated netlist."""
+    """Single-clock synchronous simulator for an elaborated netlist.
+
+    It is the one-lane case of the slot interface a stream driver uses
+    (shared with :class:`~repro.sim.BatchSimulator`): :meth:`slot`,
+    :meth:`poke_slot`, :meth:`peek_slot`, :meth:`settle`, :meth:`step`,
+    ``lanes`` and ``stride``.  With one lane a packed value is the plain
+    value, so there is no lane offset.
+    """
+
+    lanes = 1
+    stride = 0
 
     def __init__(
         self,
@@ -111,9 +122,23 @@ class Simulator:
             raise SimulationError(f"signal {signal.name!r} is not in this netlist")
         return signal
 
+    def slot(self, signal: Signal | str) -> int:
+        """The state-vector index of a signal, for :meth:`poke_slot`/:meth:`peek_slot`."""
+        return self._index_of[self._resolve(signal)]
+
     # ------------------------------------------------------------------
     # poke / peek
     # ------------------------------------------------------------------
+    def poke_slot(self, slot: int, value: int) -> None:
+        """Trusted fast path: drive a pre-masked value into an input slot."""
+        self._values[slot] = value
+        self._dirty = True
+
+    def peek_slot(self, slot: int) -> int:
+        """The settled value in a slot."""
+        self.settle()
+        return self._values[slot]
+
     def poke(self, signal: Signal | str, value: int | BV) -> None:
         """Drive an input signal (held until poked again)."""
         sig = self._resolve(signal)
@@ -141,7 +166,7 @@ class Simulator:
     def peek(self, signal: Signal | str) -> BV:
         """Observe any signal's settled value."""
         sig = self._resolve(signal)
-        self._settle_if_dirty()
+        self.settle()
         return BV(self._values[self._index_of[sig]], sig.width)
 
     def peek_int(self, signal: Signal | str) -> int:
@@ -172,7 +197,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def _settle_if_dirty(self) -> None:
+    def settle(self) -> None:
+        """Propagate combinational logic if any input or state changed."""
         if not self._dirty:
             return
         if self.engine == "interp":
@@ -198,13 +224,13 @@ class Simulator:
         charge = res_budget.charge
         for _ in range(cycles):
             charge()
-            self._settle_if_dirty()
+            self.settle()
             if self.engine == "interp":
                 self._tick_interp()
             else:
                 self._compiled.tick(self._values, self._mems)
             self._dirty = True
-            self._settle_if_dirty()
+            self.settle()
             self.cycles += 1
             for watcher in self._watchers:
                 watcher(self.cycles)

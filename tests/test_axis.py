@@ -1,5 +1,7 @@
 """Tests for the AXI-Stream wrapper generator and stream harness."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from repro.axis import (
 from repro.core.errors import FrontendError, ProtocolError
 from repro.rtl import Module, ops
 from repro.rtl.ir import Ref
-from repro.sim import Simulator
+from repro.sim import BatchSimulator, Simulator
 
 ROWS, COLS, IN_W, OUT_W = 8, 8, 12, 9
 
@@ -153,17 +155,19 @@ class TestCombWrapper:
         )
         assert outs == [reference(m) for m in mats]
 
-    def test_tlast_misalignment_flags_error(self):
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_tlast_misalignment_flags_error(self, lanes):
         kernel, spec = make_comb_kernel()
         top = build_axis_wrapper(kernel, spec)
-        sim = Simulator(top)
-        # Send a row with TLAST asserted on the first beat: misaligned.
-        sim.poke(AxisPorts.S_TVALID, 1)
-        sim.poke(AxisPorts.S_TDATA, 0)
-        sim.poke(AxisPorts.S_TLAST, 1)
-        sim.poke(AxisPorts.M_TREADY, 1)
-        sim.step(2)
-        assert sim.peek_int(AxisPorts.ERROR) == 1
+        sim = Simulator(top) if lanes == 1 else BatchSimulator(top, lanes)
+        # 4-row frames into an 8-row wrapper: TLAST arrives on the 4th
+        # beat, misaligned, and the wrapper latches its sticky error.
+        harness = StreamHarness(sim, dataclasses.replace(spec, rows=4))
+        blocks = [matrix[:4] for matrix in make_matrices(lanes)]
+        with pytest.raises(ProtocolError,
+                           match="^wrapper raised sticky error at cycle 4$"):
+            harness.run_blocks(blocks)
+        assert sim.peek_slot(sim.slot(AxisPorts.ERROR)) != 0
 
     def test_missing_ports_rejected(self):
         bad = Module("bad")
@@ -233,14 +237,28 @@ class TestRowSerialWrapper:
             build_axis_wrapper(bad, spec)
 
 
-@given(st.integers(2, 5), st.integers(1, 4), st.integers(1, 4))
+@given(st.integers(2, 5), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from([1, 3]))
 @settings(max_examples=8, deadline=None)
-def test_property_any_throttling_preserves_data(n_mats, valid_n, ready_n):
+def test_property_any_throttling_preserves_data(n_mats, valid_n, ready_n, lanes):
     kernel, spec = make_comb_kernel()
     top = build_axis_wrapper(kernel, spec)
-    harness = StreamHarness(Simulator(top), spec)
+    patterns = dict(valid_pattern=every(valid_n),
+                    ready_pattern=every(ready_n, offset=1))
     mats = make_matrices(n_mats)
-    outs, _ = harness.run_matrices(
-        mats, valid_pattern=every(valid_n), ready_pattern=every(ready_n, offset=1)
-    )
+    if lanes == 1:
+        outs, _ = StreamHarness(Simulator(top), spec).run_matrices(mats, **patterns)
+    else:
+        harness = StreamHarness(BatchSimulator(top, lanes), spec)
+        outs = harness.run_blocks(mats, **patterns)
+        # Lockstep lanes see the same throttling as a one-lane run of
+        # their chunk, so each lane's timing matches that run.
+        size = -(-n_mats // lanes)
+        assert len(harness.lane_timings) == -(-n_mats // size)
+        for lane, timing in enumerate(harness.lane_timings):
+            chunk = mats[lane * size:(lane + 1) * size]
+            _, alone = StreamHarness(Simulator(top), spec).run_matrices(
+                chunk, **patterns)
+            assert timing.start_cycles == alone.start_cycles
+            assert timing.finish_cycles == alone.finish_cycles
     assert outs == [reference(m) for m in mats]

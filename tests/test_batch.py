@@ -30,7 +30,6 @@ from repro.idct.reference import chen_wang_idct
 from repro.rtl import Module, ops
 from repro.sim import (
     BatchSimulator,
-    BatchStreamRunner,
     Simulator,
     compile_batch,
     scalar_adapter,
@@ -186,7 +185,7 @@ class TestCompileSpans:
         assert self.spans(traced, "sim.batch.compile") == []
 
         compile_batch(netlist, lanes=3)
-        BatchStreamRunner(top, design.spec, lanes=2)
+        StreamHarness(BatchSimulator(top, 2), design.spec)
         Simulator(netlist, engine="batch")
         packed = self.spans(traced, "sim.batch.compile")
         assert [span.attrs["lanes"] for span in packed] == [3, 2, 1]
@@ -216,7 +215,7 @@ class TestDesignMatrix:
         oracle = StreamHarness(
             Simulator(design.top, engine="interp"), design.spec)
         want, _timing = oracle.run_matrices(matrices, timeout=50_000)
-        runner = BatchStreamRunner(design.top, design.spec, lanes=4)
+        runner = StreamHarness(BatchSimulator(design.top, 4), design.spec)
         got = runner.run_blocks([[list(r) for r in m] for m in matrices],
                                 timeout=50_000)
         assert got == want
@@ -230,7 +229,8 @@ class TestStreamRunner:
         for n_blocks, lanes in ((5, 8), (10, 4)):
             blocks = [[list(r) for r in m]
                       for m in random_matrices(n_blocks, seed=n_blocks)]
-            runner = BatchStreamRunner(design.top, design.spec, lanes=lanes)
+            runner = StreamHarness(BatchSimulator(design.top, lanes),
+                                   design.spec)
             got = runner.run_blocks(blocks)
             assert got == [chen_wang_idct(b) for b in blocks]
 

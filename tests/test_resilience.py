@@ -120,20 +120,36 @@ class TestBudget:
 # ----------------------------------------------------------------------
 
 class TestHarnessTimeout:
-    def test_timeout_carries_progress(self):
+    @staticmethod
+    def timeout_error(lanes):
+        """The timeout of two matrices per lane under a 4-cycle budget."""
         from repro.axis.harness import StreamHarness
         from repro.eval.verify import random_matrices
         from repro.frontends.vlog import verilog_initial
-        from repro.sim import Simulator
+        from repro.sim import BatchSimulator, Simulator
 
         design = verilog_initial()
-        harness = StreamHarness(Simulator(design.top), design.spec)
+        matrices = random_matrices(2)
         with pytest.raises(HarnessTimeout) as info:
-            harness.run_matrices(random_matrices(2), timeout=4)
-        err = info.value
-        assert err.phase == "sim.stream"
+            if lanes == 1:
+                harness = StreamHarness(Simulator(design.top), design.spec)
+                harness.run_matrices(matrices, timeout=4)
+            else:
+                harness = StreamHarness(BatchSimulator(design.top, lanes),
+                                        design.spec)
+                harness.run_blocks(matrices * lanes, timeout=4)
+        return info.value
+
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_timeout_carries_progress(self, lanes):
+        err = self.timeout_error(lanes)
+        assert err.phase == ("sim.stream" if lanes == 1 else "sim.batch.stream")
         assert err.cycles > 4
-        assert err.beats_out < 16  # never produced both matrices
+        assert err.beats_out < 16 * lanes  # never produced both matrices
+        # Every lane streams the one-lane run's matrices in lockstep.
+        alone = self.timeout_error(1)
+        assert (err.cycles, err.beats_in, err.beats_out) == (
+            alone.cycles, lanes * alone.beats_in, lanes * alone.beats_out)
 
 
 # ----------------------------------------------------------------------
