@@ -2,14 +2,18 @@
 
 Not a paper artifact, but the quantity every experiment's wall-clock rests
 on: cycles per second through the AXI-wrapped optimized Verilog IDCT —
-for the scalar compiled engine and for the lane-packed batch engine.
+for the scalar compiled engine and for the lane-packed batch engine —
+and, on ``xls-s8``, whether the batch engine still wins on a design that
+moves its outputs through a 768-bit bus.
 """
 
 from repro import obs
+from repro.api import Session
 from repro.axis import StreamHarness
 from repro.eval.verify import random_matrices
 from repro.frontends.vlog import verilog_opt
 from repro.obs import trace as obs_trace
+from repro.rtl import elaborate
 from repro.sim import BatchSimulator, Simulator
 
 BATCH_BLOCKS = 256
@@ -97,4 +101,43 @@ def test_sim_throughput_batch(benchmark):
     # Mechanism: the batch engine settles far fewer times per block.
     assert batch_settles / BATCH_BLOCKS < scalar_settles / scalar_blocks
     assert speedup >= 5.0
+    obs.clear()
+
+
+def test_sim_throughput_xls_batch(benchmark):
+    """xls-s8 on 16 lanes is not slower per block than on one lane.
+
+    The serve tier streams a request's blocks on the 16-lane harness for
+    both its ``sim`` and ``batch`` engines, so the packed engine must not
+    lose to the scalar compiled one on any served design.  xls-s8 is the
+    case where it used to: its 768-bit output bus set a 769-bit lane
+    stride until the packed lowering split wide buses into 96-bit
+    fields.  Both legs stream the same :data:`BATCH_LANES` blocks, one as
+    a single stream (``sim.stream`` span), one a block per lane
+    (``sim.batch.stream`` span); the comparison is per block from the
+    spans.
+    """
+    design = Session().build("xls-s8")
+    netlist = elaborate(design.top)
+    blocks = [[list(row) for row in m]
+              for m in random_matrices(BATCH_LANES, seed=3)]
+    scalar = StreamHarness(Simulator(netlist, engine="compiled"), design.spec)
+    packed = StreamHarness(BatchSimulator(netlist, BATCH_LANES), design.spec)
+    assert packed.sim.stride <= 97
+
+    obs.enable()
+    obs.clear()
+    ref = scalar.run_blocks(blocks)
+    outs = benchmark(packed.run_blocks, blocks)
+    assert outs == ref
+
+    scalar_s, scalar_blocks = _span_stats("sim.stream")
+    batch_s, batch_blocks = _span_stats("sim.batch.stream")
+    scalar_us = scalar_s * 1e6 / scalar_blocks
+    batch_us = batch_s * 1e6 / batch_blocks
+    print(f"\nxls-s8 scalar: {scalar_us:.0f} us/block, "
+          f"batch: {batch_us:.0f} us/block ({BATCH_LANES} lanes, "
+          f"stride {packed.sim.stride}); "
+          f"speedup {scalar_us / batch_us:.2f}x (bar: >= 1x)")
+    assert batch_us <= scalar_us
     obs.clear()

@@ -135,8 +135,8 @@ ENGINES: tuple[EngineSpec, ...] = (
     ),
     EngineSpec(
         name="sim",
-        summary="streamed scalar compiled simulator behind the AXI-Stream "
-                "harness (the serve tier's cycle-accurate path)",
+        summary="cycle-accurate AXI-Stream run of the blocks on the "
+                "16-lane packed simulator; the same harness as batch",
         contexts=("serve",),
     ),
 )

@@ -20,17 +20,13 @@ from typing import Callable
 from ...core.errors import FrontendError
 from ...rtl import Module, ops
 from ...rtl.ir import (
-    BinOp,
-    Cat,
     Const,
     Expr,
-    Ext,
-    Mux,
+    MemRead,
     Ref,
     Signal,
-    Slice,
-    UnOp,
     expr_children,
+    with_children,
 )
 from ...synth.cost import node_cost
 from ...synth.tech import ULTRASCALE_PLUS, Tech
@@ -57,19 +53,9 @@ def _rebuild(expr: Expr, child_of: Callable[[Expr], Expr]) -> Expr:
     """Clone one node with substituted children."""
     if isinstance(expr, (Const, Ref)):
         return expr
-    if isinstance(expr, BinOp):
-        return BinOp(expr.kind, child_of(expr.a), child_of(expr.b))
-    if isinstance(expr, UnOp):
-        return UnOp(expr.kind, child_of(expr.a))
-    if isinstance(expr, Mux):
-        return Mux(child_of(expr.sel), child_of(expr.if_true), child_of(expr.if_false))
-    if isinstance(expr, Cat):
-        return Cat(tuple(child_of(p) for p in expr.parts))
-    if isinstance(expr, Slice):
-        return Slice(child_of(expr.a), expr.hi, expr.lo)
-    if isinstance(expr, Ext):
-        return Ext(child_of(expr.a), expr.width, expr.signed)
-    raise FrontendError(f"cannot pipeline node {type(expr).__name__}")
+    if isinstance(expr, MemRead):
+        raise FrontendError(f"cannot pipeline node {type(expr).__name__}")
+    return with_children(expr, [child_of(kid) for kid in expr_children(expr)])
 
 
 def pipeline_kernel(

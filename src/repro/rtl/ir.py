@@ -46,6 +46,7 @@ __all__ = [
     "emit_py_node",
     "distinct_nodes",
     "expr_children",
+    "with_children",
     "expr_signals",
     "expr_mem_reads",
     "expr_size",
@@ -536,6 +537,28 @@ def expr_children(expr: Expr) -> tuple[Expr, ...]:
     if isinstance(expr, MemRead):
         return (expr.addr,)
     return ()
+
+
+def with_children(expr: Expr, kids: Sequence[Expr]) -> Expr:
+    """A copy of ``expr`` over new operands (in :func:`expr_children` order).
+
+    Leaves (:class:`Const`, :class:`Ref`) have no operands to replace.
+    """
+    if isinstance(expr, BinOp):
+        return BinOp(expr.kind, *kids)
+    if isinstance(expr, UnOp):
+        return UnOp(expr.kind, *kids)
+    if isinstance(expr, Mux):
+        return Mux(*kids)
+    if isinstance(expr, Cat):
+        return Cat(tuple(kids))
+    if isinstance(expr, Slice):
+        return Slice(*kids, expr.hi, expr.lo)
+    if isinstance(expr, Ext):
+        return Ext(*kids, expr.width, expr.signed)
+    if isinstance(expr, MemRead):
+        return MemRead(expr.memory, *kids)
+    raise TypeError(f"no operands to replace in {type(expr).__name__}")
 
 
 def distinct_nodes(expr: Expr, seen: set[int] | None = None):

@@ -45,6 +45,7 @@ from .ir import (
     expr_children,
     expr_mem_reads,
     expr_signals,
+    with_children,
 )
 from .module import Memory, MemWrite
 
@@ -65,24 +66,6 @@ class OptStats:
     def total(self) -> int:
         return (self.folded + self.simplified + self.merged
                 + self.dead_assigns + self.dead_registers + self.dead_memories)
-
-
-def _rebuild(expr: Expr, children: tuple[Expr, ...]) -> Expr:
-    if isinstance(expr, BinOp):
-        return BinOp(expr.kind, children[0], children[1])
-    if isinstance(expr, UnOp):
-        return UnOp(expr.kind, children[0])
-    if isinstance(expr, Mux):
-        return Mux(children[0], children[1], children[2])
-    if isinstance(expr, Cat):
-        return Cat(children)
-    if isinstance(expr, Slice):
-        return Slice(children[0], expr.hi, expr.lo)
-    if isinstance(expr, Ext):
-        return Ext(children[0], expr.width, expr.signed)
-    if isinstance(expr, MemRead):
-        return MemRead(expr.memory, children[0])
-    return expr
 
 
 class _Rewriter:
@@ -111,7 +94,7 @@ class _Rewriter:
                 and len(children) == len(expr_children(expr))):
             node = expr
         else:
-            node = _rebuild(expr, children)
+            node = with_children(expr, children)
         if self._fold:
             node = self._try_fold(node)
         if self._simplify:

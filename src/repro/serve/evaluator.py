@@ -17,19 +17,12 @@ output):
 batch_chen_wang` twin of the golden model, valid precisely because the
   warm start proved the design bit-exact against it.  One numpy call per
   batch, so throughput grows with batch size.
-* ``"sim"`` — the compiled cycle-accurate simulator: all blocks of the
-  batch are streamed through the design's AXI wrapper as one stream on
-  a one-lane :class:`~repro.sim.Simulator`, amortizing pipeline fill
-  across the batch.
-* ``"batch"`` — the lane-packed compiled simulator
-  (:class:`~repro.sim.BatchSimulator`, 16 lanes): the batch's blocks run
-  in lockstep lanes of one settle/tick pass each cycle, so a coalesced
-  window is cycle-accurate *and* amortizes the per-cycle Python cost
-  across lanes.
-
-Both simulator engines go through the same driver,
-:meth:`~repro.axis.harness.StreamHarness.run_blocks`; they differ only
-in the lane count of the simulator under it.
+* ``"sim"`` and ``"batch"`` — the cycle-accurate simulator: the batch's
+  blocks are streamed through the design's AXI wrapper on the lanes of
+  one lane-packed :class:`~repro.sim.BatchSimulator` (16 lanes), one
+  settle/tick pass per cycle for all of them.  Both names run the same
+  harness, :meth:`~repro.axis.harness.StreamHarness.run_blocks`, so the
+  design is compiled once for the two of them.
 
 Every invocation records ``serve.sim_invocations`` / ``serve.blocks_total``
 counters and the ``serve.batch_size`` histogram, which is how both the
@@ -80,7 +73,7 @@ class DesignEvaluator:
     """One verified design point, kept hot for batched block evaluation."""
 
     ENGINES = engine_names("serve")
-    #: Simulator lanes behind the ``"batch"`` engine.
+    #: Simulator lanes behind the ``"sim"`` and ``"batch"`` engines.
     BATCH_LANES = 16
 
     def __init__(self, name: str, session=None) -> None:
@@ -99,8 +92,7 @@ class DesignEvaluator:
             raise EvaluationError(
                 f"{self.name} is not bit-exact against the golden model; "
                 f"refusing to serve it", design=self.name, phase="serve.warm")
-        self._netlist = None
-        self._harnesses: dict[int, object] = {}   # lane count -> harness
+        self._harness = None
 
     @property
     def design(self):
@@ -108,27 +100,16 @@ class DesignEvaluator:
         return self._recipe.build()
 
     # ------------------------------------------------------------------
-    def _get_netlist(self):
-        """The design's one netlist, shared by the ``sim`` and ``batch`` engines."""
-        if self._netlist is None:
-            from ..eval.measure import design_netlist
-
-            self._netlist = design_netlist(self.design)
-        return self._netlist
-
-    def _harness(self, lanes: int):
-        """The stream harness over a ``lanes``-lane simulator, built once."""
-        harness = self._harnesses.get(lanes)
-        if harness is None:
+    def _stream_harness(self):
+        """The harness behind the ``sim`` and ``batch`` engines, built once."""
+        if self._harness is None:
             from ..axis.harness import StreamHarness
-            from ..sim import BatchSimulator, Simulator
+            from ..eval.measure import design_netlist
+            from ..sim import BatchSimulator
 
-            netlist = self._get_netlist()
-            sim = (Simulator(netlist) if lanes == 1
-                   else BatchSimulator(netlist, lanes))
-            harness = self._harnesses[lanes] = StreamHarness(
-                sim, self.design.spec)
-        return harness
+            sim = BatchSimulator(design_netlist(self.design), self.BATCH_LANES)
+            self._harness = StreamHarness(sim, self.design.spec)
+        return self._harness
 
     # ------------------------------------------------------------------
     def evaluate(self, blocks: list[Block], engine: str = "model") -> list[Block]:
@@ -159,8 +140,7 @@ class DesignEvaluator:
             obs_metrics.observe("serve.batch_size", len(blocks))
             if engine == "model":
                 return self._evaluate_model(blocks)
-            lanes = self.BATCH_LANES if engine == "batch" else 1
-            return self._harness(lanes).run_blocks(blocks)
+            return self._stream_harness().run_blocks(blocks)
 
     def _evaluate_model(self, blocks: list[Block]) -> list[Block]:
         import numpy as np

@@ -6,9 +6,17 @@ the compiler in :mod:`repro.sim.compile` (index maps, shared-subexpression
 hoisting, settle/tick assembly, ``exec``) turns the *same* levelized netlist
 into a **lane-packed** evaluator, where every signal holds ``B`` independent
 simulation lanes packed into one Python big integer at a fixed stride
-``S = max_expression_width + 1``::
+``S = F + 1``::
 
     packed(sig) = sum(lane_value[i] << (i * S) for i in range(B))
+
+The lane field ``F`` is the widest value that must be held whole: every
+port and memory word, and every node that computes, with its operands.
+A wider value only moves bits (concatenations, slices, muxes, zero
+extensions; a 768-bit output bus, say), so :func:`split_wide` first cuts
+it into signals and expressions of at most ``F`` bits, and the stride
+follows the arithmetic, not the bus.  Nodes that touch no wide value are
+shared with the input netlist; synthesis keeps reading that netlist.
 
 One guard bit per lane (the ``+ 1``) is what makes carry-generating
 operations safe: an add of two W-bit lanes peaks at ``2**(W+1) - 2`` and
@@ -37,9 +45,10 @@ value and every guard bit is zero*:
 
 Two consumers sit on top of :func:`compile_batch`:
 
-* :func:`scalar_adapter` — a ``lanes=1`` compilation shaped like a
-  :class:`~repro.sim.compile.CompiledNetlist`.  With one lane a packed
-  value *is* the plain value, so :class:`~repro.sim.Simulator` can run
+* :func:`scalar_adapter` — a ``lanes=1`` compilation that runs on a
+  scalar simulator's state.  With one lane a packed value *is* the plain
+  value (a split signal's fields sit in slots of their own, and
+  :class:`~repro.sim.Simulator` reassembles them on a peek), so it can run
   ``engine="batch"`` through its normal settle/tick path (this is what
   ``verify``/``fig1``/``table2 --engine batch`` use, and why their output
   is byte-identical to ``--engine compiled``);
@@ -47,20 +56,20 @@ Two consumers sit on top of :func:`compile_batch`:
   poke/peek and the packed slot interface of :class:`~repro.sim.Simulator`.
   :meth:`StreamHarness.run_blocks <repro.axis.harness.StreamHarness.run_blocks>`
   streams N blocks through its lanes (one settle per clock for all lanes);
-  the serving tier's ``engine="batch"`` path and the throughput benchmark
-  use it.
+  the serving tier's ``"sim"`` and ``"batch"`` engines and the throughput
+  benchmark use it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ..core.errors import SimulationError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..resilience import budget as res_budget
-from ..rtl.elaborate import Netlist, elaborate
+from ..rtl.elaborate import FlatRegister, Netlist, elaborate
 from ..rtl.ir import (
     BinOp,
     BinOpKind,
@@ -78,10 +87,12 @@ from ..rtl.ir import (
     _eval_binop,
     _eval_unop,
     distinct_nodes,
+    expr_children,
     to_signed,
+    with_children,
 )
 from ..rtl.module import Memory, Module
-from .compile import CompiledNetlist, Emitter, compile_lowered
+from .compile import CompiledNetlist, Emitter, compile_lowered, index_maps
 
 __all__ = [
     "BatchCompiled",
@@ -133,6 +144,192 @@ def _mwr(mem, en: int, addr: int, data: int, lanes: int, stride: int,
 
 
 # ----------------------------------------------------------------------
+# the wide-bus split (the packed lowering's netlist rewrite)
+# ----------------------------------------------------------------------
+
+def _moves_bits(node: Expr) -> bool:
+    """Whether ``node`` only moves bits, so a wide one can be cut up."""
+    return (isinstance(node, (Cat, Slice, Mux, Ref, Const))
+            or isinstance(node, Ext) and not node.signed)
+
+
+def _widths(netlist: Netlist) -> tuple[int, int]:
+    """``(field, widest)``: the lane field width and the widest value.
+
+    ``field`` is the widest value a lane must hold whole: every port and
+    memory word, every node that computes (and its operands), and all a
+    memory write port reads.  Only nodes that move bits can be wider;
+    ``widest`` counts them too.
+    """
+    field = max([sig.width for sig in netlist.inputs + netlist.outputs]
+                + [mem.width for mem in netlist.memories], default=1)
+    seen: set[int] = set()
+    for mem in netlist.memories:
+        for write in mem.writes:
+            for root in (write.en, write.addr, write.data):
+                for node in distinct_nodes(root, seen):
+                    field = max(field, node.width)
+    widest = field
+    for root in netlist.roots():
+        for node in distinct_nodes(root, seen):
+            widest = max(widest, node.width)
+            if not _moves_bits(node):
+                for child in (node, *expr_children(node)):
+                    field = max(field, child.width)
+    return field, widest
+
+
+def _piece(expr: Expr, lo: int, width: int) -> Expr:
+    """Bits ``[lo, lo + width)`` of ``expr`` as one node."""
+    if lo == 0 and width == expr.width:
+        return expr
+    if isinstance(expr, Const):
+        return Const(expr.value >> lo, width)
+    if isinstance(expr, Slice):
+        expr, lo = expr.a, expr.lo + lo
+    return Slice(expr, lo + width - 1, lo)
+
+
+def _bits(segments: Sequence[Expr], lo: int, width: int) -> tuple[Expr, ...]:
+    """Bits ``[lo, lo + width)`` of a value held as LSB-first segments."""
+    out = []
+    at, hi = 0, lo + width
+    for seg in segments:
+        end = at + seg.width
+        if end > lo:
+            start = max(lo, at)
+            out.append(_piece(seg, start - at, min(hi, end) - start))
+            if end >= hi:
+                break
+        at = end
+    return tuple(out)
+
+
+def _join(pieces: Sequence[Expr]) -> Expr:
+    """One node for LSB-first ``pieces``."""
+    return pieces[0] if len(pieces) == 1 else Cat(tuple(reversed(pieces)))
+
+
+class _Splitter:
+    """Rewrites expressions so that no value is wider than ``field`` bits.
+
+    A wide value becomes *segments*: narrow nodes, least significant
+    first, whose widths add up to its width.  A wide constant stays one
+    segment, since only slices of it are ever read.  A narrow node that
+    reads no wide value is kept as is, so the split netlist shares it
+    with the original one.
+    """
+
+    def __init__(self, field: int, fields: dict[Signal, tuple[Signal, ...]]):
+        self.field = field
+        self.fields = fields
+        self._narrow: dict[int, Expr] = {}
+        self._segments: dict[int, tuple[Expr, ...]] = {}
+        self._split: dict[int, tuple[Expr, ...]] = {}
+
+    def narrow(self, expr: Expr) -> Expr:
+        """A node of at most ``field`` bits with no wide value under it."""
+        got = self._narrow.get(id(expr))
+        if got is None:
+            got = self._narrow[id(expr)] = self._rebuild(expr)
+        return got
+
+    def split(self, expr: Expr) -> tuple[Expr, ...]:
+        """``expr`` as fields of ``field`` bits, LSB first (the top one may be shorter)."""
+        got = self._split.get(id(expr))
+        if got is None:
+            segments, step = self._pieces(expr), self.field
+            got = self._split[id(expr)] = tuple(
+                _join(_bits(segments, lo, min(step, expr.width - lo)))
+                for lo in range(0, expr.width, step))
+        return got
+
+    def _pieces(self, expr: Expr) -> tuple[Expr, ...]:
+        if expr.width <= self.field:
+            return (self.narrow(expr),)
+        got = self._segments.get(id(expr))
+        if got is None:
+            got = self._segments[id(expr)] = self._cut(expr)
+        return got
+
+    def _rebuild(self, expr: Expr) -> Expr:
+        if isinstance(expr, Slice) and expr.a.width > self.field:
+            return _join(_bits(self._pieces(expr.a), expr.lo, expr.width))
+        kids = expr_children(expr)
+        new = tuple(map(self.narrow, kids))
+        if all(a is b for a, b in zip(new, kids)):
+            return expr
+        return with_children(expr, new)
+
+    def _cut(self, expr: Expr) -> tuple[Expr, ...]:
+        """The segments of a wide node; only bit-moving nodes are wide."""
+        if isinstance(expr, Ref):
+            return tuple(map(Ref, self.fields[expr.signal]))
+        if isinstance(expr, Cat):
+            return tuple(seg for part in reversed(expr.parts)
+                         for seg in self._pieces(part))
+        if isinstance(expr, Slice):
+            return _bits(self._pieces(expr.a), expr.lo, expr.width)
+        if isinstance(expr, Ext):  # zero-extension
+            pad = expr.width - expr.a.width
+            return self._pieces(expr.a) + ((Const(0, pad),) if pad else ())
+        if isinstance(expr, Mux):
+            sel = self.narrow(expr.sel)
+            return tuple(t if t is f else Mux(sel, t, f) for t, f in
+                         zip(self.split(expr.if_true), self.split(expr.if_false)))
+        return (expr,)  # a wide Const
+
+
+def split_wide(netlist: Netlist) -> tuple[Netlist, dict[Signal, tuple[Signal, ...]], int]:
+    """Cut every value wider than the lane field into field-wide pieces.
+
+    A lane field must hold the widest value it carries, but a wide bus
+    that is only concatenated, sliced and multiplexed needs no field of
+    its own width.  So the field is set by what computes (see
+    :func:`_widths`), and every wider signal becomes one field signal per
+    ``field`` bits, named ``name[hi:lo]``; slices and concatenations of
+    fields replace the wide expressions.  Returns the rewritten netlist,
+    the map from each split signal to its fields (LSB first) and the
+    field width.  A netlist with nothing wider than its field comes back
+    unchanged.  Synthesis never sees this netlist: it exists for
+    simulation only.
+    """
+    field, widest = _widths(netlist)
+    if widest == field:
+        return netlist, {}, field
+    fields: dict[Signal, tuple[Signal, ...]] = {}
+    for sig in ([sig for sig, _expr in netlist.assigns]
+                + [reg.signal for reg in netlist.registers]):
+        if sig.width > field:
+            fields[sig] = tuple(
+                Signal(f"{sig.name}[{min(lo + field, sig.width) - 1}:{lo}]",
+                       min(field, sig.width - lo))
+                for lo in range(0, sig.width, field))
+    cut = _Splitter(field, fields)
+    out = Netlist(netlist.name, list(netlist.inputs), list(netlist.outputs),
+                  memories=list(netlist.memories))
+    for sig, expr in netlist.assigns:
+        if sig in fields:
+            out.assigns.extend(zip(fields[sig], cut.split(expr)))
+        else:
+            out.assigns.append((sig, cut.narrow(expr)))
+    for reg in netlist.registers:
+        en = None if reg.en is None else cut.narrow(reg.en)
+        parts = fields.get(reg.signal)
+        if parts is None:
+            nxt = cut.narrow(reg.next)
+            out.registers.append(
+                reg if nxt is reg.next and en is reg.en
+                else FlatRegister(reg.signal, nxt, reg.init, en))
+            continue
+        for part, nxt, lo in zip(parts, cut.split(reg.next),
+                                 range(0, reg.signal.width, field)):
+            init = (reg.init >> lo) & ((1 << part.width) - 1)
+            out.registers.append(FlatRegister(part, nxt, init, en))
+    return out, fields, field
+
+
+# ----------------------------------------------------------------------
 # compilation
 # ----------------------------------------------------------------------
 
@@ -172,13 +369,13 @@ class PackedLowering:
     metric = "sim.batch"
     filename = "batch netlist"
 
-    def __init__(self, netlist: Netlist, index_of: dict[Signal, int],
-                 mem_index_of: dict[Memory, int], lanes: int) -> None:
-        self._index_of = index_of
-        self._mem_index_of = mem_index_of
+    def __init__(self, netlist: Netlist, lanes: int) -> None:
+        # Code is generated from the split netlist, where nothing is
+        # wider than the lane field; one guard bit per lane.
+        self.netlist, self.fields, field = split_wide(netlist)
+        self.index_of, self.mem_index_of = index_maps(self.netlist)
         self.lanes = lanes
-        # One guard bit per lane.
-        self.stride = _max_expr_width(netlist, index_of) + 1
+        self.stride = field + 1
         self.ones = sum(1 << (i * self.stride) for i in range(lanes))
         self._objs: list[object] = []
         self._obj_of_int: dict[int, int] = {}
@@ -242,8 +439,8 @@ class PackedLowering:
         return {"_K": tuple(self._objs), "_pl1": _pl1, "_pl2": _pl2,
                 "_mrd": _mrd, "_mwr": _mwr}
 
-    def result(self, **fields) -> BatchCompiled:
-        return BatchCompiled(**fields, lanes=self.lanes, stride=self.stride,
+    def result(self, **parts) -> BatchCompiled:
+        return BatchCompiled(**parts, lanes=self.lanes, stride=self.stride,
                              ones=self.ones)
 
     # -- node dispatch -------------------------------------------------
@@ -251,7 +448,7 @@ class PackedLowering:
         if isinstance(expr, Const):
             return self._rep(expr.value)
         if isinstance(expr, Ref):
-            return f"v[{self._index_of[expr.signal]}]"
+            return f"v[{self.index_of[expr.signal]}]"
         if isinstance(expr, BinOp):
             return self._binop(em, expr)
         if isinstance(expr, UnOp):
@@ -293,7 +490,7 @@ class PackedLowering:
             mem = expr.memory
             la = self._lit((1 << expr.addr.width) - 1)
             msk = self._lit((1 << expr.width) - 1)
-            return (f"_mrd(mems[{self._mem_index_of[mem]}], ({addr}), "
+            return (f"_mrd(mems[{self.mem_index_of[mem]}], ({addr}), "
                     f"{self.lanes}, {self.stride}, {la}, {mem.depth}, {msk})")
         raise TypeError(f"unknown expression node {type(expr).__name__}")
 
@@ -433,25 +630,19 @@ class PackedLowering:
                 f"{la}, {lb}, {f})")
 
 
-def _max_expr_width(netlist: Netlist, signals) -> int:
-    """The widest value anywhere in the design (signals and expressions)."""
-    widest = max((sig.width for sig in signals), default=1)
-    seen: set[int] = set()
-    for root in netlist.roots():
-        for node in distinct_nodes(root, seen):
-            widest = max(widest, node.width)
-    return widest
-
-
 def compile_batch(netlist: Netlist, lanes: int) -> BatchCompiled:
-    """Compile ``netlist`` into lane-packed ``settle``/``tick`` functions."""
+    """Compile ``netlist`` into lane-packed ``settle``/``tick`` functions.
+
+    The code runs on :func:`split_wide`'s netlist (the result's
+    ``netlist``); ``fields`` maps each split signal to its field signals.
+    """
     if lanes < 1:
         raise SimulationError(f"batch compilation needs lanes >= 1, got {lanes}")
     return compile_lowered(netlist, PackedLowering, lanes=lanes)
 
 
-def scalar_adapter(netlist: Netlist) -> CompiledNetlist:
-    """A one-lane batch compilation shaped like a ``CompiledNetlist``.
+def scalar_adapter(netlist: Netlist) -> BatchCompiled:
+    """A one-lane batch compilation that runs on a scalar simulator's state.
 
     With ``lanes=1`` the packed representation of a value is the value
     itself, so the generated functions operate directly on a scalar
@@ -469,14 +660,7 @@ def scalar_adapter(netlist: Netlist) -> CompiledNetlist:
     def tick(v, mems):
         btick(v, [[m] for m in mems])
 
-    return CompiledNetlist(
-        netlist=netlist,
-        index_of=compiled.index_of,
-        mem_index_of=compiled.mem_index_of,
-        settle=settle,
-        tick=tick,
-        source=compiled.source,
-    )
+    return replace(compiled, settle=settle, tick=tick)
 
 
 # ----------------------------------------------------------------------
@@ -488,7 +672,9 @@ class BatchSimulator:
 
     The simulation contract matches :class:`~repro.sim.Simulator` (poke,
     implicit settle, observe, :meth:`step`), except pokes and peeks address
-    either one lane, all lanes, or a raw packed slot.  Settling is lazy:
+    either one lane, all lanes, or a raw packed slot.  Peeks take any
+    signal of the input netlist; one the compiler split into fields is
+    reassembled from them (and has no slot).  Settling is lazy:
     a driver that pokes, peeks, and steps once per cycle pays exactly one
     combinational pass per clock for all ``lanes`` instances.
     """
@@ -502,8 +688,9 @@ class BatchSimulator:
         self.stride = self._compiled.stride
         self._ones = self._compiled.ones
         self._index_of = self._compiled.index_of
-        self._mem_index_of = self._compiled.mem_index_of
-        self._by_name = {sig.name: sig for sig in self._index_of}
+        self._fields = self._compiled.fields
+        self._by_name = {sig.name: sig
+                         for sig in (*self._index_of, *self._fields)}
         self._inputs = set(design.inputs)
         self._values: list[int] = [0] * len(self._index_of)
         self._mems: list[list[list[int]]] = []
@@ -521,7 +708,7 @@ class BatchSimulator:
         """Synchronous reset of every lane: registers and memories to init."""
         for i in range(len(self._values)):
             self._values[i] = 0
-        for reg in self.netlist.registers:
+        for reg in self._compiled.netlist.registers:
             w = reg.signal.width
             init = reg.init & ((1 << w) - 1)
             self._values[self._index_of[reg.signal]] = init * self._ones
@@ -541,13 +728,17 @@ class BatchSimulator:
             if resolved is None:
                 raise SimulationError(f"no signal named {signal!r}")
             return resolved
-        if signal not in self._index_of:
+        if signal not in self._index_of and signal not in self._fields:
             raise SimulationError(f"signal {signal.name!r} is not in this netlist")
         return signal
 
     def slot(self, signal: Signal | str) -> int:
         """The state-vector index of a signal, for :meth:`poke_slot`/:meth:`peek_slot`."""
-        return self._index_of[self._resolve(signal)]
+        sig = self._resolve(signal)
+        if sig in self._fields:
+            raise SimulationError(
+                f"signal {sig.name!r} is split into fields and has no one slot")
+        return self._index_of[sig]
 
     # ------------------------------------------------------------------
     # poke / peek
@@ -598,17 +789,19 @@ class BatchSimulator:
         return self._values[slot]
 
     def peek_lanes(self, signal: Signal | str) -> list[int]:
-        """The settled per-lane values of any signal."""
+        """The settled per-lane values of any signal, split or not."""
         sig = self._resolve(signal)
-        packed = self.peek_slot(self._index_of[sig])
-        msk = (1 << sig.width) - 1
-        return [(packed >> (i * self.stride)) & msk for i in range(self.lanes)]
+        values = [0] * self.lanes
+        for part in reversed(self._fields.get(sig, (sig,))):
+            packed = self.peek_slot(self._index_of[part])
+            msk = (1 << part.width) - 1
+            values = [(value << part.width) | (packed >> (i * self.stride) & msk)
+                      for i, value in enumerate(values)]
+        return values
 
     def peek_lane(self, signal: Signal | str, lane: int) -> int:
         """One lane's settled value of any signal."""
-        sig = self._resolve(signal)
-        packed = self.peek_slot(self._index_of[sig])
-        return (packed >> (lane * self.stride)) & ((1 << sig.width) - 1)
+        return self.peek_lanes(signal)[lane]
 
     # ------------------------------------------------------------------
     def step(self, cycles: int = 1) -> None:

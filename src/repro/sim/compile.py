@@ -11,6 +11,8 @@ Python code:
 * :class:`repro.sim.batch.PackedLowering` (engine ``batch``) — several
   simulation lanes packed into one Python big integer.
 
+A lowering may first rewrite the netlist it generates code from; the
+packed lowering splits wide buses (:func:`repro.sim.batch.split_wide`).
 Everything else is done here, once, for both: the signal and memory index
 maps, the levelized order, common-subexpression elimination, the settle
 and tick assembly, ``exec``, and the obs span and metrics.  Expression
@@ -42,6 +44,12 @@ class CompiledNetlist:
     ``settle(values, mems)`` propagates combinational logic in place;
     ``tick(values, mems)`` samples register/memory inputs and commits them
     (callers must settle first and settle again afterwards).
+
+    ``netlist`` is the netlist the code was generated from, after the
+    lowering's rewrite of the input one.  ``fields`` maps each signal of the
+    input netlist that the rewrite split to its field signals, least
+    significant first; a simulator reassembles the signal's value from
+    their slots.  The scalar lowering splits nothing.
     """
 
     netlist: Netlist
@@ -50,6 +58,7 @@ class CompiledNetlist:
     settle: object  # callable(values: list[int], mems: list[list[int]])
     tick: object    # callable(values: list[int], mems: list[list[int]])
     source: str     # generated Python, kept for debugging and tests
+    fields: dict[Signal, tuple[Signal, ...]]
 
 
 # Code that is safe to reference twice without recomputing anything.
@@ -112,14 +121,22 @@ class Emitter:
 
 
 class ScalarLowering:
-    """One unsigned Python int per signal, one memory list per memory."""
+    """One unsigned Python int per signal, one memory list per memory.
+
+    Like every lowering it holds the netlist it generates code from
+    (``netlist``, here the input one), the signals it split on the way
+    (``fields``, here none) and their index maps.
+    """
 
     span = "sim.compile"
     metric = "sim.compile"
     filename = "netlist"
 
-    def __init__(self, netlist: Netlist, index_of: dict[Signal, int],
-                 mem_index_of: dict[Memory, int]) -> None:
+    def __init__(self, netlist: Netlist) -> None:
+        self.netlist = netlist
+        self.fields: dict[Signal, tuple[Signal, ...]] = {}
+        index_of, mem_index_of = index_maps(netlist)
+        self.index_of, self.mem_index_of = index_of, mem_index_of
         self._ref_of = lambda sig: f"v[{index_of[sig]}]"
         self._mem_of = lambda mem: f"mems[{mem_index_of[mem]}]"
         self.header: list[str] = []
@@ -142,8 +159,8 @@ class ScalarLowering:
     def namespace(self) -> dict[str, object]:
         return {"_sx": to_signed}
 
-    def result(self, **fields) -> CompiledNetlist:
-        return CompiledNetlist(**fields)
+    def result(self, **parts) -> CompiledNetlist:
+        return CompiledNetlist(**parts)
 
 
 def index_maps(netlist: Netlist) -> tuple[dict[Signal, int], dict[Memory, int]]:
@@ -160,13 +177,15 @@ def compile_netlist(netlist: Netlist) -> CompiledNetlist:
 def compile_lowered(netlist: Netlist, lowering_cls, **options):
     """Compile ``netlist`` with the lowering ``lowering_cls(..., **options)``.
 
-    The span is the lowering's (``sim.compile`` / ``sim.batch.compile``)
-    and carries ``options`` as attributes.
+    The lowering may rewrite the netlist before code is generated from
+    it.  The span is the lowering's (``sim.compile`` /
+    ``sim.batch.compile``), covers that rewrite, and carries ``options``
+    as attributes.
     """
     with obs_trace.span(lowering_cls.span, netlist=netlist.name,
                         **options) as span:
-        index_of, mem_index_of = index_maps(netlist)
-        lowering = lowering_cls(netlist, index_of, mem_index_of, **options)
+        lowering = lowering_cls(netlist, **options)
+        netlist, index_of = lowering.netlist, lowering.index_of
 
         settle = Emitter(lowering)
         ordered = netlist.comb_order()
@@ -216,8 +235,9 @@ def compile_lowered(netlist: Netlist, lowering_cls, **options):
         return lowering.result(
             netlist=netlist,
             index_of=index_of,
-            mem_index_of=mem_index_of,
+            mem_index_of=lowering.mem_index_of,
             settle=namespace["settle"],
             tick=namespace["tick"],
             source=source,
+            fields=lowering.fields,
         )

@@ -70,6 +70,8 @@ class Simulator:
         if engine == "interp":
             self._compiled = None
             self._index_of, self._mem_index_of = index_maps(design)
+            self._fields: dict[Signal, tuple[Signal, ...]] = {}
+            self._registers = design.registers
         else:
             if engine == "batch":
                 from .batch import scalar_adapter
@@ -79,7 +81,12 @@ class Simulator:
                 self._compiled = compile_netlist(design)
             self._index_of = self._compiled.index_of
             self._mem_index_of = self._compiled.mem_index_of
-        self._by_name = {sig.name: sig for sig in self._index_of}
+            # The batch lowering may split wide signals into fields; the
+            # registers to reset are the ones the code was compiled from.
+            self._fields = self._compiled.fields
+            self._registers = self._compiled.netlist.registers
+        self._by_name = {sig.name: sig
+                         for sig in (*self._index_of, *self._fields)}
         self._inputs = set(design.inputs)
         self._values: list[int] = [0] * len(self._index_of)
         self._mems: list[list[int]] = []
@@ -101,7 +108,7 @@ class Simulator:
         """Synchronous reset: registers to init values, memories to init."""
         for sig in self._index_of:
             self._values[self._index_of[sig]] = 0
-        for reg in self.netlist.registers:
+        for reg in self._registers:
             self._values[self._index_of[reg.signal]] = reg.init
         self._mems = []
         for mem in self.netlist.memories:
@@ -118,13 +125,17 @@ class Simulator:
             if resolved is None:
                 raise SimulationError(f"no signal named {signal!r}")
             return resolved
-        if signal not in self._index_of:
+        if signal not in self._index_of and signal not in self._fields:
             raise SimulationError(f"signal {signal.name!r} is not in this netlist")
         return signal
 
     def slot(self, signal: Signal | str) -> int:
         """The state-vector index of a signal, for :meth:`poke_slot`/:meth:`peek_slot`."""
-        return self._index_of[self._resolve(signal)]
+        sig = self._resolve(signal)
+        if sig in self._fields:
+            raise SimulationError(
+                f"signal {sig.name!r} is split into fields and has no one slot")
+        return self._index_of[sig]
 
     # ------------------------------------------------------------------
     # poke / peek
@@ -160,14 +171,22 @@ class Simulator:
             raise SimulationError(f"{sig.name!r} is not a register")
         if isinstance(value, BV):
             value = value.uint
-        self._values[self._index_of[sig]] = value & ((1 << sig.width) - 1)
+        for part in self._fields.get(sig, (sig,)):
+            self._values[self._index_of[part]] = value & ((1 << part.width) - 1)
+            value >>= part.width
         self._dirty = True
 
     def peek(self, signal: Signal | str) -> BV:
-        """Observe any signal's settled value."""
+        """Observe any signal's settled value (a split one is reassembled)."""
         sig = self._resolve(signal)
         self.settle()
-        return BV(self._values[self._index_of[sig]], sig.width)
+        fields = self._fields.get(sig)
+        if fields is None:
+            return BV(self._values[self._index_of[sig]], sig.width)
+        value = 0
+        for part in reversed(fields):
+            value = (value << part.width) | self._values[self._index_of[part]]
+        return BV(value, sig.width)
 
     def peek_int(self, signal: Signal | str) -> int:
         """Observe a signal as an unsigned integer."""

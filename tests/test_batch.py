@@ -152,6 +152,119 @@ class TestSwarOps:
 
 
 # ---------------------------------------------------------------------------
+# the wide-bus split: values wider than the lane field become field signals
+# ---------------------------------------------------------------------------
+BUS_INIT = 0x89ABCDEF
+
+
+def make_wide_bus():
+    """A module whose internal bus is 4x its widest port and arithmetic node.
+
+    Every port and operator is 8 bits wide, so the lane field is 8 bits;
+    the 32-bit register ``bus`` and wire ``mixed`` only move bits (a mux,
+    concatenations, slices), and ``y`` adds a slice that straddles two of
+    ``bus``'s fields.
+    """
+    m = Module("wide")
+    a = m.input("a", 8)
+    b = m.input("b", 8)
+    sel = m.input("sel", 1)
+    bus = m.reg("bus", 32, init=BUS_INIT)
+    mixed = m.connect("mixed", 32, ops.mux(
+        sel, ops.cat(a, b, ops.bxor(a, b), ops.bnot(b)), bus))
+    m.set_next(bus, ops.cat(ops.bits(mixed, 23, 0), a), en=ops.redor(a))
+    m.assign(m.output("y", 8), ops.add(ops.bits(bus, 11, 4), b))
+    m.assign(m.output("z", 8), ops.bits(mixed, 27, 20))
+    return m
+
+
+class TestWideSplit:
+    def test_wide_values_become_lane_fields(self):
+        from repro.rtl import elaborate
+
+        netlist = elaborate(make_wide_bus())
+        compiled = compile_batch(netlist, lanes=4)
+        assert compiled.stride == 9   # the 8-bit lane field + a guard bit
+        by_name = {sig.name: parts for sig, parts in compiled.fields.items()}
+        assert sorted(by_name) == ["bus", "mixed"]
+        assert [f.name for f in by_name["bus"]] == [
+            "bus[7:0]", "bus[15:8]", "bus[23:16]", "bus[31:24]"]
+        # The split builds a new netlist: the input one (which synthesis
+        # reads) still has the 32-bit register.
+        assert [r.signal.width for r in netlist.registers] == [32]
+        assert [r.signal.width for r in compiled.netlist.registers] == [8] * 4
+
+    def test_peeks_reassemble_split_signals(self):
+        lanes = 4
+        batch = BatchSimulator(make_wide_bus(), lanes=lanes)
+        oracles = [Simulator(make_wide_bus(), engine="interp")
+                   for _ in range(lanes)]
+        one_lane = Simulator(make_wide_bus(), engine="batch")
+        names = ("bus", "mixed", "y", "z")
+        assert batch.peek_lanes("bus") == [BUS_INIT] * lanes
+        rng = random.Random(7)
+        for _cycle in range(12):
+            stimulus = [{"a": rng.randrange(256), "b": rng.randrange(256),
+                         "sel": rng.randrange(2)} for _ in range(lanes)]
+            for name in ("a", "b", "sel"):
+                batch.poke_lanes(name, [s[name] for s in stimulus])
+            for sim, s in zip(oracles + [one_lane], stimulus + stimulus[:1]):
+                for name, value in s.items():
+                    sim.poke(name, value)
+            for name in names:
+                want = [sim.peek_int(name) for sim in oracles]
+                assert batch.peek_lanes(name) == want, name
+                assert batch.peek_lane(name, 2) == want[2], name
+                assert one_lane.peek_int(name) == want[0], name
+            for sim in [batch, one_lane] + oracles:
+                sim.step()
+        one_lane.poke_register("bus", 0x01234567)
+        assert one_lane.peek_int("bus") == 0x01234567
+        one_lane.reset()
+        batch.reset()
+        assert one_lane.peek_int("bus") == BUS_INIT
+        assert batch.peek_lanes("bus") == [BUS_INIT] * lanes
+        for sim in (batch, one_lane):
+            with pytest.raises(SimulationError, match="split into fields"):
+                sim.slot("bus")
+
+    def test_vcd_of_a_split_signal_matches_interp(self):
+        from repro.sim import VcdTracer
+
+        dumps = []
+        for engine in ("interp", "batch"):
+            sim = Simulator(make_wide_bus(), engine=engine)
+            tracer = VcdTracer(sim, signals=["bus", "mixed", "y"])
+            for cycle in range(6):
+                sim.poke("a", 17 * cycle + 3)
+                sim.poke("b", 255 - cycle)
+                sim.poke("sel", cycle % 2)
+                sim.step()
+            dumps.append(tracer.render())
+        assert dumps[0] == dumps[1]
+        assert "bus" in dumps[0]
+
+    def test_xls_768_bit_bus_peeks_like_the_scalar_engine(self):
+        from repro.rtl import elaborate
+
+        design = Session().build("xls-s8")
+        netlist = elaborate(design.top)
+        block = [list(row) for row in random_matrices(1, seed=5)[0]]
+        fields = compile_batch(netlist, lanes=1).fields
+        assert {sig.name: sig.width for sig in fields} == {
+            "in_mat": 768, "out_mat": 576, "out_buf": 576,
+            "kernel.oreg_out_mat": 576}
+        batch = BatchSimulator(netlist, 2)
+        scalar = Simulator(netlist)
+        for sim in (batch, scalar):
+            StreamHarness(sim, design.spec).run_blocks([block])
+        want = scalar.peek_int("in_mat")
+        assert want != 0
+        assert batch.peek_lane("in_mat", 0) == want
+        assert batch.stride <= 97
+
+
+# ---------------------------------------------------------------------------
 # compile spans: perfbench reads its per-layer compile metrics by these names
 # ---------------------------------------------------------------------------
 class TestCompileSpans:
@@ -221,6 +334,57 @@ class TestDesignMatrix:
         assert got == want
         # and both agree with the golden model, not just each other
         assert got == [chen_wang_idct(m) for m in matrices]
+
+
+# Block 761 of the IEEE 1180 [-300, 300] condition (Ieee1180Generator(1),
+# sign +1) and its negation (the sign -1 condition's block 761).  The C
+# designs compute in 32-bit C int, which the column pass overflows here:
+# one output wraps by 511 where the golden model clips (ROADMAP item 7).
+L300_BLOCK = [
+    [-227, 274, 109, -262, 7, -12, 70, 23],
+    [-206, -300, -97, -283, -285, 61, 213, -203],
+    [248, 2, 207, -254, 43, -100, -5, 217],
+    [272, -168, 163, -296, 81, 300, -276, 239],
+    [-276, -190, -129, 131, 21, 281, 209, 199],
+    [299, 272, 291, -271, 279, 200, -232, 167],
+    [259, 142, -253, 1, 247, -15, -136, 48],
+    [207, -70, 290, 195, 269, 297, 161, 193],
+]
+L300_MATRICES = [L300_BLOCK, [[-v for v in row] for row in L300_BLOCK]]
+_C_DESIGNS = ("bambu-initial", "bambu-opt",
+              "vivado-hls-initial", "vivado-hls-opt")
+
+
+def test_l300_matrices_are_ieee1180_blocks():
+    from repro.idct.ieee1180 import Ieee1180Generator
+
+    for sign, matrix in zip((1, -1), L300_MATRICES):
+        gen = Ieee1180Generator(1)
+        blocks = [gen.block(300, 300, sign) for _ in range(762)]
+        assert blocks[761] == matrix
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        name in _C_DESIGNS, strict=True,
+        reason="ROADMAP item 7: 32-bit C int wraps at L=300"))
+    for name in _sim_designs()])
+def test_l300_matrices_match_the_golden_model(name):
+    design = Session().build(name)
+    harness = StreamHarness(BatchSimulator(design.top, 2), design.spec)
+    got = harness.run_blocks(L300_MATRICES)
+    assert got == [chen_wang_idct(m) for m in L300_MATRICES]
+
+
+def test_streamed_designs_pack_at_stride_97_or_less():
+    """Only arithmetic sets the lane field; wide buses are split."""
+    from repro.rtl import elaborate
+
+    strides = {name: compile_batch(elaborate(Session().build(name).top),
+                                   lanes=1).stride
+               for name in _sim_designs()}
+    assert len(strides) == 12
+    assert max(strides.values()) <= 97, strides
 
 
 class TestStreamRunner:

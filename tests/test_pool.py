@@ -237,9 +237,10 @@ class TestLivePool:
             await pool.start()
             try:
                 # Enough blocks that the simulator charges past the
-                # 256-cycle wall-check interval.
+                # 256-cycle wall-check interval: 32 blocks on each of the
+                # 16 lanes behind the sim engine.
                 with pytest.raises(BudgetExceeded):
-                    await pool.evaluate(DESIGN, "sim", _blocks(32))
+                    await pool.evaluate(DESIGN, "sim", _blocks(512))
                 assert pool.stats["kills"] == 0
             finally:
                 await pool.drain()

@@ -504,6 +504,75 @@ def test_every_engine_and_lowering_agree_on_random_trees(tree, data):
         assert got == dict.fromkeys(got, expected), (lane, env)
 
 
+@settings(max_examples=200, deadline=None)
+@given(random_tree(), st.data())
+def test_every_engine_agrees_when_a_wide_bus_carries_the_tree(tree, data):
+    """The same agreement with the tree routed through a wide bus.
+
+    The assign ``wide`` and the register ``bus`` are more than three times
+    wider than every port and node, so the packed lowering splits both
+    into lane fields.  The tree sits at a drawn offset, so the slices
+    that read it back straddle fields, and ``bus`` loads it only in the
+    lanes where ``go`` is 1 (through a mux or a register enable).
+    """
+    from repro.rtl import elaborate
+    from repro.rtl.ir import distinct_nodes
+    from repro.sim import BatchSimulator, Simulator
+
+    module, expr, inputs = tree
+    top = max(node.width for node in distinct_nodes(expr))
+    w = expr.width
+    lo = data.draw(st.integers(0, top))
+    hi = 3 * top + 1 - w + data.draw(st.integers(0, top))
+    pad_hi, pad_lo = data.draw(st.integers(0, 2**hi - 1)), data.draw(
+        st.integers(0, 2**lo - 1))
+    wide = module.connect("wide", hi + w + lo, Cat(
+        (Const(pad_hi, hi), expr) + ((Const(pad_lo, lo),) if lo else ())))
+    go = module.input("go", 1)
+    init = data.draw(st.integers(0, 2**wide.width - 1))
+    bus = module.reg("bus", wide.width, init=init)
+    if data.draw(st.booleans()):
+        module.set_next(bus, Mux(Ref(go), Ref(wide), Ref(bus)))
+    else:
+        module.set_next(bus, Ref(wide), en=Ref(go))
+    module.assign(module.output("yw", w), Slice(Ref(wide), lo + w - 1, lo))
+    module.assign(module.output("yr", w), Slice(Ref(bus), lo + w - 1, lo))
+    netlist = elaborate(module)
+
+    envs = [_draw_env(data, inputs + [go]) for _ in range(LANES)]
+    packed = BatchSimulator(netlist, lanes=LANES)
+    for sig in inputs + [go]:
+        packed.poke_lanes(sig.name, [env[sig.name] for env in envs])
+    # One scalar simulator per engine and lane, so each steps one stimulus.
+    lane_sims = [[Simulator(netlist, engine=engine)
+                  for engine in ("interp", "compiled", "batch")]
+                 for _ in envs]
+    for sims, env in zip(lane_sims, envs):
+        for sim in sims:
+            for name, value in env.items():
+                sim.poke(name, value)
+
+    def check(expected_of_lane):
+        for lane, env in enumerate(envs):
+            expected = expected_of_lane(env)
+            for name, want in expected.items():
+                got = {f"batch@{LANES}": packed.peek_lane(name, lane)}
+                for sim in lane_sims[lane]:
+                    got[sim.engine] = sim.peek_int(name)
+                assert got == dict.fromkeys(got, want), (name, lane, env)
+
+    def loaded(env):
+        return (pad_hi << (w + lo)) | (evaluate(expr, env) << lo) | pad_lo
+
+    check(lambda env: {"y": evaluate(expr, env), "yw": evaluate(expr, env),
+                       "wide": loaded(env), "bus": init})
+    for sim in [packed] + [sim for sims in lane_sims for sim in sims]:
+        sim.step()
+    after = lambda env: loaded(env) if env["go"] else init
+    check(lambda env: {"bus": after(env),
+                       "yr": (after(env) >> lo) & ((1 << w) - 1)})
+
+
 @given(st.integers(-(2**15), 2**15 - 1), st.integers(-(2**15), 2**15 - 1))
 def test_muls_matches_python_signed_product(a, b):
     expr = BinOp(BinOpKind.MULS, Const(a, 16), Const(b, 16))
