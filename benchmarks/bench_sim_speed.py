@@ -1,9 +1,10 @@
 """Infrastructure benchmark: compiled-simulator throughput.
 
 Not a paper artifact, but the quantity every experiment's wall-clock rests
-on: cycles per second through the AXI-wrapped optimized Verilog IDCT —
-for the scalar compiled engine and for the lane-packed batch engine —
-and, on ``xls-s8``, whether the batch engine still wins on a design that
+on: cycles per second through the AXI-wrapped optimized Verilog IDCT on
+one :class:`~repro.sim.Simulator` class — one lane on the scalar
+``compiled`` engine, 16 lanes on the lane-packed ``batch`` engine — and,
+on ``xls-s8``, whether the batch engine still wins on a design that
 moves its outputs through a 768-bit bus.
 """
 
@@ -14,7 +15,7 @@ from repro.eval.verify import random_matrices
 from repro.frontends.vlog import verilog_opt
 from repro.obs import trace as obs_trace
 from repro.rtl import elaborate
-from repro.sim import BatchSimulator, Simulator
+from repro.sim import Simulator
 
 BATCH_BLOCKS = 256
 BATCH_LANES = 16
@@ -50,17 +51,20 @@ def test_sim_throughput_batch(benchmark):
     """Lane-packed batch engine vs the scalar compiled simulator.
 
     Each round streams :data:`BATCH_BLOCKS` random matrices through a
-    16-lane :class:`BatchSimulator` harness — the production configuration of
-    the serve tier's ``"batch"`` engine.  The >=5x acceptance bar is
-    argued from obs span data rather than ad-hoc timing: ``sim.stream``
-    and ``sim.batch.stream`` spans record duration, blocks, and (via the
-    simulators' lifetime counters) combinational settle passes, so the
-    win decomposes into its mechanism — lanes amortize the per-cycle
-    Python cost, and lazy settling runs ~1 settle pass per cycle for the
-    whole 16-block cohort where the scalar engine settles per block.
+    harness on ``Simulator(..., engine="batch", lanes=16)`` — the
+    production configuration of the serve tier's ``"sim"`` and ``"batch"``
+    engines.  The >=5x acceptance bar is argued from obs span data rather
+    than ad-hoc timing: ``sim.stream`` and ``sim.batch.stream`` spans
+    record duration, blocks, and (via the simulators' lifetime counters)
+    combinational settle passes, so the win decomposes into its mechanism
+    — lanes amortize the per-cycle Python cost, and lazy settling runs ~1
+    settle pass per cycle for the whole 16-block cohort, where the
+    one-lane simulator settles twice per cycle (after each edge, and
+    again after the next pokes) for each block.
     """
     design = verilog_opt()
-    runner = StreamHarness(BatchSimulator(design.top, BATCH_LANES), design.spec)
+    runner = StreamHarness(
+        Simulator(design.top, engine="batch", lanes=BATCH_LANES), design.spec)
     blocks = [[list(row) for row in m]
               for m in random_matrices(BATCH_BLOCKS)]
 
@@ -122,7 +126,8 @@ def test_sim_throughput_xls_batch(benchmark):
     blocks = [[list(row) for row in m]
               for m in random_matrices(BATCH_LANES, seed=3)]
     scalar = StreamHarness(Simulator(netlist, engine="compiled"), design.spec)
-    packed = StreamHarness(BatchSimulator(netlist, BATCH_LANES), design.spec)
+    packed = StreamHarness(
+        Simulator(netlist, engine="batch", lanes=BATCH_LANES), design.spec)
     assert packed.sim.stride <= 97
 
     obs.enable()

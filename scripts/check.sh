@@ -98,7 +98,9 @@ echo "== engine smoke: fig1/table2/verify --engine batch byte-identical to compi
 step python -m repro engines > /dev/null
 step python -m repro fig1 --engine batch > "$tmp/batch.txt"
 cmp "$tmp/fresh.txt" "$tmp/batch.txt"
-# table2 reaches the 12 streamed design points, which fig1 does not.
+# table2 reaches the 12 streamed design points, which fig1 does not;
+# three of its C-HLS points hold memories, which the one-lane batch
+# engine keeps as one list per lane like the multi-lane one.
 step python -m repro table2 > "$tmp/t2_nocache.txt"
 step python -m repro table2 --engine batch > "$tmp/t2_batch.txt"
 cmp "$tmp/t2_nocache.txt" "$tmp/t2_batch.txt"

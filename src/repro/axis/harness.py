@@ -9,11 +9,10 @@ protocol rules every cycle, and measures the paper's timing indicators:
 * periodicity ``T_P`` — steady-state distance in cycles between the starts
   (first accepted beats) of consecutive operations.
 
-One per-cycle driver serves every simulator lane on one shared clock: one
-lane for a :class:`~repro.sim.Simulator` (any engine), ``B`` lockstep
-lanes for a :class:`~repro.sim.BatchSimulator`, where one lane-packed
-settle evaluates every design copy.  Each lane carries its own stream,
-protocol monitor and timing.
+One per-cycle driver serves every lane of a :class:`~repro.sim.Simulator`
+on one shared clock: one lane on any engine, or ``B`` lockstep lanes on
+``engine="batch"``, where one lane-packed settle evaluates every design
+copy.  Each lane carries its own stream, protocol monitor and timing.
 """
 
 from __future__ import annotations
@@ -105,13 +104,13 @@ _PORTS = (AxisPorts.S_TVALID, AxisPorts.S_TDATA, AxisPorts.S_TLAST,
 class StreamHarness:
     """Drives a wrapped design's stream ports on every lane of a simulator.
 
-    ``simulator`` is a :class:`~repro.sim.Simulator` (one lane) or a
-    :class:`~repro.sim.BatchSimulator` (``lanes`` lockstep copies); the
-    harness uses only their slot interface (``slot``, ``poke_slot``,
-    ``peek_slot`` which settles lazily, ``step``, ``reset``, ``lanes``,
-    ``stride``).  After each run,
+    ``simulator`` is a :class:`~repro.sim.Simulator` with any number of
+    ``lanes`` (lockstep copies); the harness uses only its slot interface
+    (``slot``, ``poke_slot``, ``peek_slot`` which settles lazily, ``step``,
+    ``reset``, ``lanes``, ``stride``).  After each run,
     :attr:`lane_timings` holds one :class:`StreamTiming` per lane that
-    streamed at least one matrix.
+    streamed at least one matrix.  Streaming no matrix at all raises
+    :class:`~repro.core.errors.SimulationError`.
     """
 
     def __init__(self, simulator, spec: KernelSpec) -> None:
@@ -206,6 +205,9 @@ class StreamHarness:
         ``i * stride``; the valid/ready patterns apply to every lane.
         """
         sim, spec = self.sim, self.spec
+        if not any(map(len, chunks)):
+            # No matrix means no timing to measure, on any lane count.
+            raise SimulationError("no matrices to stream", phase=phase)
         rows = spec.rows
         chunks = list(chunks) + [[]] * (sim.lanes - len(chunks))
         shifts = [lane * sim.stride for lane in range(sim.lanes)]

@@ -18,8 +18,8 @@ batch_chen_wang` twin of the golden model, valid precisely because the
   warm start proved the design bit-exact against it.  One numpy call per
   batch, so throughput grows with batch size.
 * ``"sim"`` and ``"batch"`` — the cycle-accurate simulator: the batch's
-  blocks are streamed through the design's AXI wrapper on the lanes of
-  one lane-packed :class:`~repro.sim.BatchSimulator` (16 lanes), one
+  blocks are streamed through the design's AXI wrapper on the 16 lanes
+  of one ``Simulator(netlist, engine="batch", lanes=16)``, one
   settle/tick pass per cycle for all of them.  Both names run the same
   harness, :meth:`~repro.axis.harness.StreamHarness.run_blocks`, so the
   design is compiled once for the two of them.
@@ -105,9 +105,10 @@ class DesignEvaluator:
         if self._harness is None:
             from ..axis.harness import StreamHarness
             from ..eval.measure import design_netlist
-            from ..sim import BatchSimulator
+            from ..sim import Simulator
 
-            sim = BatchSimulator(design_netlist(self.design), self.BATCH_LANES)
+            sim = Simulator(design_netlist(self.design), engine="batch",
+                            lanes=self.BATCH_LANES)
             self._harness = StreamHarness(sim, self.design.spec)
         return self._harness
 

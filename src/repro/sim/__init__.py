@@ -1,11 +1,6 @@
 """Cycle-accurate simulation of elaborated netlists."""
 
-from .batch import (
-    BatchCompiled,
-    BatchSimulator,
-    compile_batch,
-    scalar_adapter,
-)
+from .batch import BatchCompiled, compile_batch
 from .compile import CompiledNetlist, compile_netlist
 from .simulator import Simulator
 from .vcd import VcdTracer
@@ -16,7 +11,5 @@ __all__ = [
     "CompiledNetlist",
     "compile_netlist",
     "BatchCompiled",
-    "BatchSimulator",
     "compile_batch",
-    "scalar_adapter",
 ]

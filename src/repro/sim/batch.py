@@ -43,33 +43,26 @@ value and every guard bit is zero*:
   :mod:`repro.rtl.ir`, so the batch engine is bit-exact by construction
   even where it is not vectorized.
 
-Two consumers sit on top of :func:`compile_batch`:
-
-* :func:`scalar_adapter` — a ``lanes=1`` compilation that runs on a
-  scalar simulator's state.  With one lane a packed value *is* the plain
-  value (a split signal's fields sit in slots of their own, and
-  :class:`~repro.sim.Simulator` reassembles them on a peek), so it can run
-  ``engine="batch"`` through its normal settle/tick path (this is what
-  ``verify``/``fig1``/``table2 --engine batch`` use, and why their output
-  is byte-identical to ``--engine compiled``);
-* :class:`BatchSimulator` — a B-lane lockstep simulator with per-lane
-  poke/peek and the packed slot interface of :class:`~repro.sim.Simulator`.
-  :meth:`StreamHarness.run_blocks <repro.axis.harness.StreamHarness.run_blocks>`
-  streams N blocks through its lanes (one settle per clock for all lanes);
-  the serving tier's ``"sim"`` and ``"batch"`` engines and the throughput
-  benchmark use it.
+One consumer sits on top of :func:`compile_batch`:
+:class:`~repro.sim.Simulator` with ``engine="batch"``.  It keeps one
+memory list per lane and hands them all to the packed code.  At one lane
+a packed value *is* the plain value (a split signal's fields sit in slots
+of their own and are reassembled on a peek), which is how
+``verify``/``fig1``/``table2 --engine batch`` run, and why their output
+is byte-identical to ``--engine compiled``.  At ``lanes=B``,
+:meth:`StreamHarness.run_blocks <repro.axis.harness.StreamHarness.run_blocks>`
+streams N blocks through the lanes (one settle per clock for all of
+them); the serving tier's ``"sim"`` and ``"batch"`` engines and the
+throughput benchmark use it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..core.errors import SimulationError
-from ..obs import metrics as obs_metrics
-from ..obs import trace as obs_trace
-from ..resilience import budget as res_budget
-from ..rtl.elaborate import FlatRegister, Netlist, elaborate
+from ..rtl.elaborate import FlatRegister, Netlist
 from ..rtl.ir import (
     BinOp,
     BinOpKind,
@@ -91,15 +84,10 @@ from ..rtl.ir import (
     to_signed,
     with_children,
 )
-from ..rtl.module import Memory, Module
+from ..rtl.module import Memory
 from .compile import CompiledNetlist, Emitter, compile_lowered, index_maps
 
-__all__ = [
-    "BatchCompiled",
-    "compile_batch",
-    "scalar_adapter",
-    "BatchSimulator",
-]
+__all__ = ["BatchCompiled", "compile_batch"]
 
 
 # ----------------------------------------------------------------------
@@ -639,189 +627,3 @@ def compile_batch(netlist: Netlist, lanes: int) -> BatchCompiled:
     if lanes < 1:
         raise SimulationError(f"batch compilation needs lanes >= 1, got {lanes}")
     return compile_lowered(netlist, PackedLowering, lanes=lanes)
-
-
-def scalar_adapter(netlist: Netlist) -> BatchCompiled:
-    """A one-lane batch compilation that runs on a scalar simulator's state.
-
-    With ``lanes=1`` the packed representation of a value is the value
-    itself, so the generated functions operate directly on a scalar
-    :class:`~repro.sim.Simulator`'s state.  Only the memory layout differs
-    (the batch code expects one backing list per lane); the wrappers adapt
-    it without copying — the inner lists are shared, so writes land in the
-    simulator's own memories.
-    """
-    compiled = compile_batch(netlist, lanes=1)
-    bsettle, btick = compiled.settle, compiled.tick
-
-    def settle(v, mems):
-        bsettle(v, [[m] for m in mems])
-
-    def tick(v, mems):
-        btick(v, [[m] for m in mems])
-
-    return replace(compiled, settle=settle, tick=tick)
-
-
-# ----------------------------------------------------------------------
-# multi-lane simulation
-# ----------------------------------------------------------------------
-
-class BatchSimulator:
-    """Lockstep B-lane simulator: lane ``i`` is an independent design copy.
-
-    The simulation contract matches :class:`~repro.sim.Simulator` (poke,
-    implicit settle, observe, :meth:`step`), except pokes and peeks address
-    either one lane, all lanes, or a raw packed slot.  Peeks take any
-    signal of the input netlist; one the compiler split into fields is
-    reassembled from them (and has no slot).  Settling is lazy:
-    a driver that pokes, peeks, and steps once per cycle pays exactly one
-    combinational pass per clock for all ``lanes`` instances.
-    """
-
-    def __init__(self, design: Module | Netlist, lanes: int = 8) -> None:
-        if isinstance(design, Module):
-            design = elaborate(design)
-        self.netlist = design
-        self.lanes = lanes
-        self._compiled = compile_batch(design, lanes)
-        self.stride = self._compiled.stride
-        self._ones = self._compiled.ones
-        self._index_of = self._compiled.index_of
-        self._fields = self._compiled.fields
-        self._by_name = {sig.name: sig
-                         for sig in (*self._index_of, *self._fields)}
-        self._inputs = set(design.inputs)
-        self._values: list[int] = [0] * len(self._index_of)
-        self._mems: list[list[list[int]]] = []
-        self._dirty = True
-        self.cycles = 0
-        self.settles = 0   # lifetime count of combinational settle passes
-        if obs_trace.enabled():
-            obs_metrics.inc("sim.instances")
-            obs_metrics.inc("sim.engine.batch")
-            obs_metrics.observe("sim.batch.lanes", lanes)
-        self.reset()
-
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Synchronous reset of every lane: registers and memories to init."""
-        for i in range(len(self._values)):
-            self._values[i] = 0
-        for reg in self._compiled.netlist.registers:
-            w = reg.signal.width
-            init = reg.init & ((1 << w) - 1)
-            self._values[self._index_of[reg.signal]] = init * self._ones
-        self._mems = []
-        for mem in self.netlist.memories:
-            words = list(mem.init[: mem.depth])
-            words += [0] * (mem.depth - len(words))
-            msk = (1 << mem.width) - 1
-            base = [word & msk for word in words]
-            self._mems.append([list(base) for _ in range(self.lanes)])
-        self.cycles = 0
-        self._dirty = True
-
-    def _resolve(self, signal: Signal | str) -> Signal:
-        if isinstance(signal, str):
-            resolved = self._by_name.get(signal)
-            if resolved is None:
-                raise SimulationError(f"no signal named {signal!r}")
-            return resolved
-        if signal not in self._index_of and signal not in self._fields:
-            raise SimulationError(f"signal {signal.name!r} is not in this netlist")
-        return signal
-
-    def slot(self, signal: Signal | str) -> int:
-        """The state-vector index of a signal, for :meth:`poke_slot`/:meth:`peek_slot`."""
-        sig = self._resolve(signal)
-        if sig in self._fields:
-            raise SimulationError(
-                f"signal {sig.name!r} is split into fields and has no one slot")
-        return self._index_of[sig]
-
-    # ------------------------------------------------------------------
-    # poke / peek
-    # ------------------------------------------------------------------
-    def _check_input(self, sig: Signal) -> None:
-        if sig not in self._inputs:
-            raise SimulationError(f"cannot poke non-input signal {sig.name!r}")
-
-    def poke_all(self, signal: Signal | str, value: int) -> None:
-        """Drive the same value into an input on every lane."""
-        sig = self._resolve(signal)
-        self._check_input(sig)
-        masked = value & ((1 << sig.width) - 1)
-        self._values[self._index_of[sig]] = masked * self._ones
-        self._dirty = True
-
-    def poke_lanes(self, signal: Signal | str, values: Sequence[int]) -> None:
-        """Drive one value per lane into an input."""
-        sig = self._resolve(signal)
-        self._check_input(sig)
-        if len(values) != self.lanes:
-            raise SimulationError(
-                f"poke_lanes {sig.name!r}: expected {self.lanes} values, "
-                f"got {len(values)}")
-        msk = (1 << sig.width) - 1
-        packed = 0
-        for i, value in enumerate(values):
-            packed |= (value & msk) << (i * self.stride)
-        self._values[self._index_of[sig]] = packed
-        self._dirty = True
-
-    def poke_slot(self, slot: int, packed: int) -> None:
-        """Trusted fast path: drive a pre-packed value (lanes pre-masked)."""
-        self._values[slot] = packed
-        self._dirty = True
-
-    def settle(self) -> None:
-        """Propagate combinational logic if any input changed."""
-        if not self._dirty:
-            return
-        self._compiled.settle(self._values, self._mems)
-        self._dirty = False
-        self.settles += 1
-
-    def peek_slot(self, slot: int) -> int:
-        """The settled packed value in a slot."""
-        self.settle()
-        return self._values[slot]
-
-    def peek_lanes(self, signal: Signal | str) -> list[int]:
-        """The settled per-lane values of any signal, split or not."""
-        sig = self._resolve(signal)
-        values = [0] * self.lanes
-        for part in reversed(self._fields.get(sig, (sig,))):
-            packed = self.peek_slot(self._index_of[part])
-            msk = (1 << part.width) - 1
-            values = [(value << part.width) | (packed >> (i * self.stride) & msk)
-                      for i, value in enumerate(values)]
-        return values
-
-    def peek_lane(self, signal: Signal | str, lane: int) -> int:
-        """One lane's settled value of any signal."""
-        return self.peek_lanes(signal)[lane]
-
-    # ------------------------------------------------------------------
-    def step(self, cycles: int = 1) -> None:
-        """Advance all lanes by ``cycles`` clock edges.
-
-        Like :meth:`Simulator.step` each edge charges one cycle against an
-        armed :mod:`repro.resilience.budget` — one clock, however many
-        lanes it advances.  The post-tick settle is lazy (performed at the
-        next peek), so a poke/peek/step driver loop settles once per cycle.
-        """
-        charge = res_budget.charge
-        for _ in range(cycles):
-            charge()
-            self.settle()
-            self._compiled.tick(self._values, self._mems)
-            self._dirty = True
-            self.cycles += 1
-
-    # ------------------------------------------------------------------
-    @property
-    def compiled_source(self) -> str:
-        """The generated lane-packed Python source (debugging aid)."""
-        return self._compiled.source

@@ -17,10 +17,10 @@ from repro.axis import (
     pack_row,
     unpack_row,
 )
-from repro.core.errors import FrontendError, ProtocolError
+from repro.core.errors import FrontendError, ProtocolError, SimulationError
 from repro.rtl import Module, ops
 from repro.rtl.ir import Ref
-from repro.sim import BatchSimulator, Simulator
+from repro.sim import Simulator
 
 ROWS, COLS, IN_W, OUT_W = 8, 8, 12, 9
 
@@ -159,7 +159,8 @@ class TestCombWrapper:
     def test_tlast_misalignment_flags_error(self, lanes):
         kernel, spec = make_comb_kernel()
         top = build_axis_wrapper(kernel, spec)
-        sim = Simulator(top) if lanes == 1 else BatchSimulator(top, lanes)
+        sim = Simulator(top, engine="compiled" if lanes == 1 else "batch",
+                        lanes=lanes)
         # 4-row frames into an 8-row wrapper: TLAST arrives on the 4th
         # beat, misaligned, and the wrapper latches its sticky error.
         harness = StreamHarness(sim, dataclasses.replace(spec, rows=4))
@@ -168,6 +169,21 @@ class TestCombWrapper:
                            match="^wrapper raised sticky error at cycle 4$"):
             harness.run_blocks(blocks)
         assert sim.peek_slot(sim.slot(AxisPorts.ERROR)) != 0
+
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_empty_stream_raises_a_simulation_error(self, lanes):
+        kernel, spec = make_comb_kernel()
+        top = build_axis_wrapper(kernel, spec)
+        sim = Simulator(top, engine="compiled" if lanes == 1 else "batch",
+                        lanes=lanes)
+        harness = StreamHarness(sim, spec)
+        phase = "sim.stream" if lanes == 1 else "sim.batch.stream"
+        with pytest.raises(SimulationError, match="no matrices") as info:
+            harness.run_blocks([])
+        assert info.value.phase == phase
+        with pytest.raises(SimulationError, match="no matrices") as info:
+            harness.run_matrices([])
+        assert info.value.phase == "sim.stream"
 
     def test_missing_ports_rejected(self):
         bad = Module("bad")
@@ -249,7 +265,8 @@ def test_property_any_throttling_preserves_data(n_mats, valid_n, ready_n, lanes)
     if lanes == 1:
         outs, _ = StreamHarness(Simulator(top), spec).run_matrices(mats, **patterns)
     else:
-        harness = StreamHarness(BatchSimulator(top, lanes), spec)
+        harness = StreamHarness(
+            Simulator(top, engine="batch", lanes=lanes), spec)
         outs = harness.run_blocks(mats, **patterns)
         # Lockstep lanes see the same throttling as a one-lane run of
         # their chunk, so each lane's timing matches that run.

@@ -2,7 +2,7 @@
 
 Covers the SWAR emitter op-by-op against the interpreter oracle, the
 full design matrix (batch engine vs interp, every non-MaxJ frontend),
-the B=1 scalar adapter behind ``Simulator(engine="batch")``, the engine
+the one-lane ``Simulator(engine="batch")``, the engine
 registry (resolution, suggestions, contexts, serialization), and the
 ``Session.verify`` cache-threading fix.
 """
@@ -28,12 +28,7 @@ from repro.eval.verify import random_matrices
 from repro.frontends.vlog import verilog_initial, verilog_opt
 from repro.idct.reference import chen_wang_idct
 from repro.rtl import Module, ops
-from repro.sim import (
-    BatchSimulator,
-    Simulator,
-    compile_batch,
-    scalar_adapter,
-)
+from repro.sim import Simulator, compile_batch
 
 WIDTH = 12
 # Multiplier constants chosen to hit every MULS-by-const emitter branch:
@@ -85,7 +80,7 @@ class TestSwarOps:
     def test_every_op_matches_interp_lanewise(self):
         module = make_alu()
         lanes = 8
-        batch = BatchSimulator(module, lanes=lanes)
+        batch = Simulator(module, engine="batch", lanes=lanes)
         oracle = Simulator(make_alu(), engine="interp")
         outputs = [s.name for s in batch.netlist.outputs]
         assert outputs, "ALU module elaborated with no outputs"
@@ -108,7 +103,7 @@ class TestSwarOps:
         """The sign-split product formula at the input corner cases."""
         module = make_alu()
         lanes = 4
-        batch = BatchSimulator(module, lanes=lanes)
+        batch = Simulator(module, engine="batch", lanes=lanes)
         oracle = Simulator(make_alu(), engine="interp")
         extremes = [0, 1, (1 << (WIDTH - 1)) - 1,   # 0, 1, +max
                     1 << (WIDTH - 1),               # -min
@@ -129,7 +124,7 @@ class TestSwarOps:
 
     def test_sequential_lanes_tick_independently(self):
         lanes = 4
-        batch = BatchSimulator(make_accumulator(), lanes=lanes)
+        batch = Simulator(make_accumulator(), engine="batch", lanes=lanes)
         streams = [[(lane + 1) * step for step in range(1, 6)]
                    for lane in range(lanes)]
         for step in range(5):
@@ -145,10 +140,10 @@ class TestSwarOps:
         compiled = compile_batch(elaborate(make_alu()), lanes=4)
         assert compiled.lanes == 4
         assert "def settle" in compiled.source
-        sim = BatchSimulator(make_alu(), lanes=4)
+        sim = Simulator(make_alu(), engine="batch", lanes=4)
         assert "def settle" in sim.compiled_source
-        adapter = scalar_adapter(elaborate(make_accumulator()))
-        assert "def settle" in adapter.source
+        one_lane = Simulator(make_accumulator(), engine="batch")
+        assert "def settle" in one_lane.compiled_source
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +191,7 @@ class TestWideSplit:
 
     def test_peeks_reassemble_split_signals(self):
         lanes = 4
-        batch = BatchSimulator(make_wide_bus(), lanes=lanes)
+        batch = Simulator(make_wide_bus(), engine="batch", lanes=lanes)
         oracles = [Simulator(make_wide_bus(), engine="interp")
                    for _ in range(lanes)]
         one_lane = Simulator(make_wide_bus(), engine="batch")
@@ -254,7 +249,7 @@ class TestWideSplit:
         assert {sig.name: sig.width for sig in fields} == {
             "in_mat": 768, "out_mat": 576, "out_buf": 576,
             "kernel.oreg_out_mat": 576}
-        batch = BatchSimulator(netlist, 2)
+        batch = Simulator(netlist, engine="batch", lanes=2)
         scalar = Simulator(netlist)
         for sim in (batch, scalar):
             StreamHarness(sim, design.spec).run_blocks([block])
@@ -298,7 +293,7 @@ class TestCompileSpans:
         assert self.spans(traced, "sim.batch.compile") == []
 
         compile_batch(netlist, lanes=3)
-        StreamHarness(BatchSimulator(top, 2), design.spec)
+        StreamHarness(Simulator(top, engine="batch", lanes=2), design.spec)
         Simulator(netlist, engine="batch")
         packed = self.spans(traced, "sim.batch.compile")
         assert [span.attrs["lanes"] for span in packed] == [3, 2, 1]
@@ -328,7 +323,8 @@ class TestDesignMatrix:
         oracle = StreamHarness(
             Simulator(design.top, engine="interp"), design.spec)
         want, _timing = oracle.run_matrices(matrices, timeout=50_000)
-        runner = StreamHarness(BatchSimulator(design.top, 4), design.spec)
+        runner = StreamHarness(
+            Simulator(design.top, engine="batch", lanes=4), design.spec)
         got = runner.run_blocks([[list(r) for r in m] for m in matrices],
                                 timeout=50_000)
         assert got == want
@@ -371,7 +367,8 @@ def test_l300_matrices_are_ieee1180_blocks():
     for name in _sim_designs()])
 def test_l300_matrices_match_the_golden_model(name):
     design = Session().build(name)
-    harness = StreamHarness(BatchSimulator(design.top, 2), design.spec)
+    harness = StreamHarness(
+        Simulator(design.top, engine="batch", lanes=2), design.spec)
     got = harness.run_blocks(L300_MATRICES)
     assert got == [chen_wang_idct(m) for m in L300_MATRICES]
 
@@ -393,8 +390,9 @@ class TestStreamRunner:
         for n_blocks, lanes in ((5, 8), (10, 4)):
             blocks = [[list(r) for r in m]
                       for m in random_matrices(n_blocks, seed=n_blocks)]
-            runner = StreamHarness(BatchSimulator(design.top, lanes),
-                                   design.spec)
+            runner = StreamHarness(
+                Simulator(design.top, engine="batch", lanes=lanes),
+                design.spec)
             got = runner.run_blocks(blocks)
             assert got == [chen_wang_idct(b) for b in blocks]
 

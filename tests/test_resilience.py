@@ -126,7 +126,7 @@ class TestHarnessTimeout:
         from repro.axis.harness import StreamHarness
         from repro.eval.verify import random_matrices
         from repro.frontends.vlog import verilog_initial
-        from repro.sim import BatchSimulator, Simulator
+        from repro.sim import Simulator
 
         design = verilog_initial()
         matrices = random_matrices(2)
@@ -135,8 +135,9 @@ class TestHarnessTimeout:
                 harness = StreamHarness(Simulator(design.top), design.spec)
                 harness.run_matrices(matrices, timeout=4)
             else:
-                harness = StreamHarness(BatchSimulator(design.top, lanes),
-                                        design.spec)
+                harness = StreamHarness(
+                    Simulator(design.top, engine="batch", lanes=lanes),
+                    design.spec)
                 harness.run_blocks(matrices * lanes, timeout=4)
         return info.value
 

@@ -484,12 +484,12 @@ def test_eval_result_fits_width(tree, data):
 @given(random_tree(), st.data())
 def test_every_engine_and_lowering_agree_on_random_trees(tree, data):
     from repro.rtl import elaborate
-    from repro.sim import BatchSimulator, Simulator
+    from repro.sim import Simulator
 
     module, expr, inputs = tree
     netlist = elaborate(module)
     envs = [_draw_env(data, inputs) for _ in range(LANES)]
-    packed = BatchSimulator(netlist, lanes=LANES)
+    packed = Simulator(netlist, engine="batch", lanes=LANES)
     for sig in inputs:
         packed.poke_lanes(sig.name, [env[sig.name] for env in envs])
     sims = [Simulator(netlist, engine=engine)
@@ -517,7 +517,7 @@ def test_every_engine_agrees_when_a_wide_bus_carries_the_tree(tree, data):
     """
     from repro.rtl import elaborate
     from repro.rtl.ir import distinct_nodes
-    from repro.sim import BatchSimulator, Simulator
+    from repro.sim import Simulator
 
     module, expr, inputs = tree
     top = max(node.width for node in distinct_nodes(expr))
@@ -540,7 +540,7 @@ def test_every_engine_agrees_when_a_wide_bus_carries_the_tree(tree, data):
     netlist = elaborate(module)
 
     envs = [_draw_env(data, inputs + [go]) for _ in range(LANES)]
-    packed = BatchSimulator(netlist, lanes=LANES)
+    packed = Simulator(netlist, engine="batch", lanes=LANES)
     for sig in inputs + [go]:
         packed.poke_lanes(sig.name, [env[sig.name] for env in envs])
     # One scalar simulator per engine and lane, so each steps one stimulus.

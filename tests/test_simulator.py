@@ -194,6 +194,83 @@ class TestMemory:
             sim.write_memory(sim.netlist.memories[0], [0] * 4)
 
 
+def make_ram_acc():
+    """A RAM whose read port feeds an accumulator register."""
+    m = Module("ram_acc")
+    we = m.input("we", 1)
+    waddr = m.input("waddr", 3)
+    wdata = m.input("wdata", 8)
+    raddr = m.input("raddr", 3)
+    mem = m.memory("mem", 8, 8, init=[i * 3 for i in range(8)])
+    m.mem_write(mem, Ref(we), Ref(waddr), Ref(wdata))
+    rdata = MemRead(mem, Ref(raddr))
+    acc = m.reg("acc", 8)
+    m.set_next(acc, ops.add(acc, rdata))
+    m.assign(m.output("rdata", 8), rdata)
+    m.assign(m.output("total", 8), Ref(acc))
+    return m
+
+
+class TestLanes:
+    """One class, any lane count; more than one lane needs ``batch``."""
+
+    @pytest.mark.parametrize("engine", ["compiled", "interp"])
+    def test_scalar_engines_refuse_lanes(self, engine):
+        with pytest.raises(SimulationError, match="needs engine 'batch'"):
+            Simulator(make_counter(), engine=engine, lanes=2)
+
+    @pytest.mark.parametrize("engine", ["compiled", "interp", "batch"])
+    def test_zero_lanes_rejected(self, engine):
+        with pytest.raises(SimulationError, match="lanes >= 1"):
+            Simulator(make_counter(), engine=engine, lanes=0)
+
+    def test_broadcast_writes_reach_every_lane(self):
+        """poke, poke_register and write_memory drive all lanes alike."""
+        lanes = 3
+        batch = Simulator(make_ram_acc(), engine="batch", lanes=lanes)
+        oracles = [Simulator(make_ram_acc(), engine="interp")
+                   for _ in range(lanes)]
+        sims = [batch] + oracles
+        mem = batch.netlist.memories[0]
+
+        def check():
+            for name in ("rdata", "total"):
+                assert batch.peek_lanes(name) == [
+                    oracle.peek_int(name) for oracle in oracles], name
+            assert batch.read_memory(mem) == oracles[0].read_memory(
+                oracles[0].netlist.memories[0])
+
+        # Per-lane writes first, so the lanes' memories and registers differ.
+        for cycle in range(4):
+            values = [(lane + 1) * 10 + cycle for lane in range(lanes)]
+            batch.poke_lanes("wdata", values)
+            for oracle, value in zip(oracles, values):
+                oracle.poke("wdata", value)
+            for sim in sims:
+                sim.poke("we", 1)
+                sim.poke("waddr", cycle)
+                # Read what the previous cycle wrote.
+                sim.poke("raddr", (cycle - 1) % 8)
+            check()
+            for sim in sims:
+                sim.step()
+        assert len(set(batch.peek_lanes("total"))) == lanes
+
+        for sim in sims:
+            sim.write_memory(sim.netlist.memories[0], [7 * i for i in range(8)])
+            sim.poke_register("acc", 0x40)
+            sim.poke("we", 0)
+            sim.poke("raddr", 5)
+        check()
+        assert batch.peek_lanes("total") == [0x40] * lanes
+        assert batch.peek_lanes("rdata") == [35] * lanes
+        for _ in range(3):
+            for sim in sims:
+                sim.step()
+            check()
+        assert batch.peek_lanes("total") == [(0x40 + 3 * 35) & 0xFF] * lanes
+
+
 class TestEngines:
     def test_unknown_engine_rejected(self):
         with pytest.raises(SimulationError):
