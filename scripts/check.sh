@@ -94,7 +94,7 @@ printf '%s\n' bambu-initial bambu-opt bsv-initial bsv-opt chisel-initial \
     vivado-hls-initial vivado-hls-opt xls-s0 xls-s8 | cmp - "$tmp/list.txt"
 echo "ok"
 
-echo "== engine smoke: fig1/table2/verify --engine batch byte-identical to compiled =="
+echo "== engine smoke: fig1/table2/verify --engine batch (and verify --engine interp) byte-identical to compiled =="
 step python -m repro engines > /dev/null
 step python -m repro fig1 --engine batch > "$tmp/batch.txt"
 cmp "$tmp/fresh.txt" "$tmp/batch.txt"
@@ -110,6 +110,14 @@ for design in verilog-opt xls-s8 vivado-hls-opt; do
   step python -m repro verify "$design" --engine compiled > "$tmp/verify_c.txt"
   step python -m repro verify "$design" --engine batch > "$tmp/verify_b.txt"
   cmp "$tmp/verify_c.txt" "$tmp/verify_b.txt"
+done
+# The reference interpreter runs no emitted code, so it checks the
+# compiled engine's inline signed arithmetic; bsv-initial has the most
+# sign extensions.
+for design in verilog-opt xls-s8 vivado-hls-opt bsv-initial; do
+  step python -m repro verify "$design" --engine compiled > "$tmp/verify_c.txt"
+  step python -m repro verify "$design" --engine interp > "$tmp/verify_i.txt"
+  cmp "$tmp/verify_c.txt" "$tmp/verify_i.txt"
 done
 echo "ok"
 

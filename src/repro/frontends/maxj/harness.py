@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ...core.bits import to_signed, to_unsigned
+from ...obs import trace as obs_trace
 from ...rtl import Netlist
 from ...sim import Simulator
 from ..base import Design
@@ -24,40 +25,44 @@ def _unpack(word: int, count: int) -> list[int]:
     return [to_signed((word >> (i * ELEM_W)) & 0xFFFF, ELEM_W) for i in range(count)]
 
 
-def run_matrix_kernel(design: Design, matrices: Sequence[Sequence[Sequence[int]]],
-                      netlist: Netlist | None = None):
-    """Drive one matrix per tick through the full-matrix kernel."""
+def _stream(design: Design, netlist: Netlist | None, n_matrices: int,
+            in_port: str, words: Sequence[int], out_port: str,
+            count: int) -> list[list[int]]:
+    """Poke one word of ``words`` per tick; unpack ``count`` outputs per tick.
+
+    Collection starts once the kernel's pipeline has filled.  The stepping
+    is a ``sim.stream`` span, like an AXI-Stream harness run.
+    """
     sim = Simulator(design.top if netlist is None else netlist)
     sim.poke("ce", 1)
     depth = design.meta["maxj"]["pipeline_depth"]
     outs = []
-    total = len(matrices) + depth
-    for tick in range(total):
-        if tick < len(matrices):
-            flat = [v for row in matrices[tick] for v in row]
-            sim.poke("in_mat", _pack(flat))
-        if tick >= depth:
-            flat = _unpack(sim.peek_int("out_mat"), ROWS * COLS)
-            outs.append([flat[r * COLS:(r + 1) * COLS] for r in range(ROWS)])
-        sim.step()
+    with obs_trace.span("sim.stream", matrices=n_matrices) as span:
+        for tick in range(len(words) + depth):
+            if tick < len(words):
+                sim.poke(in_port, words[tick])
+            if tick >= depth:
+                outs.append(_unpack(sim.peek_int(out_port), count))
+            sim.step()
+        span.set(cycles=sim.cycles)
     return outs
+
+
+def run_matrix_kernel(design: Design, matrices: Sequence[Sequence[Sequence[int]]],
+                      netlist: Netlist | None = None):
+    """Drive one matrix per tick through the full-matrix kernel."""
+    words = [_pack([v for row in matrix for v in row]) for matrix in matrices]
+    flats = _stream(design, netlist, len(matrices), "in_mat", words, "out_mat",
+                    ROWS * COLS)
+    return [[flat[r * COLS:(r + 1) * COLS] for r in range(ROWS)] for flat in flats]
 
 
 def run_row_kernel(design: Design, matrices: Sequence[Sequence[Sequence[int]]],
                    netlist: Netlist | None = None):
     """Drive one row per tick; collect column-streamed results."""
-    sim = Simulator(design.top if netlist is None else netlist)
-    sim.poke("ce", 1)
-    depth = design.meta["maxj"]["pipeline_depth"]
-    beats = [row for matrix in matrices for row in matrix]
-    col_beats: list[list[int]] = []
-    total = len(beats) + depth
-    for tick in range(total):
-        if tick < len(beats):
-            sim.poke("in_row", _pack(beats[tick]))
-        if tick >= depth:
-            col_beats.append(_unpack(sim.peek_int("out_col"), COLS))
-        sim.step()
+    words = [_pack(row) for matrix in matrices for row in matrix]
+    col_beats = _stream(design, netlist, len(matrices), "in_row", words,
+                        "out_col", COLS)
     # The kernel streams columns; reassemble row-major matrices.
     outs = []
     for k in range(len(matrices)):

@@ -44,6 +44,7 @@ __all__ = [
     "eval_expr",
     "emit_py",
     "emit_py_node",
+    "emit_operands",
     "distinct_nodes",
     "expr_children",
     "with_children",
@@ -400,10 +401,12 @@ def emit_py(
 
     ``ref_of`` maps a signal to the Python expression holding its unsigned
     value; ``mem_of`` maps a memory object to the Python name of its backing
-    list.  The generated code may call the ``_sx(v, w)`` sign-extension
-    helper, which the simulator defines in the compiled namespace.
+    list.  The generated code is plain integer arithmetic: it calls no
+    helper, so it runs in an empty namespace.  Every value it reads must be
+    masked to its width (signals, memory words), as every value it computes
+    is; signed operations rely on it.
     """
-    operands = [emit_py(child, ref_of, mem_of) for child in expr_children(expr)]
+    operands = [emit_py(child, ref_of, mem_of) for child in emit_operands(expr)]
     return emit_py_node(expr, operands, ref_of, mem_of)
 
 
@@ -415,9 +418,12 @@ def emit_py_node(
 ) -> str:
     """Emit Python code for the one node ``expr``.
 
-    ``operands`` holds the code of the node's children, in
-    :func:`expr_children` order, so a caller can substitute hoisted
-    temporaries for shared children (the simulator compiler does).
+    ``operands`` holds the code of the nodes :func:`emit_operands` lists
+    (the node's children, in :func:`expr_children` order, but for a signed
+    :class:`Ext`), so a caller can substitute hoisted temporaries for
+    shared children (the simulator compiler does).  What is known at emit
+    time is folded: constant operands of signed operations, constant shift
+    amounts and sign extensions of constants.
     """
     if isinstance(expr, Const):
         return repr(expr.value)
@@ -457,10 +463,13 @@ def emit_py_node(
         return f"((({a}) >> {expr.lo}) & {msk})"
     if isinstance(expr, Ext):
         (a,) = operands
-        if not expr.signed or expr.width == expr.a.width:
+        (source,) = emit_operands(expr)
+        if not expr.signed or source.width == expr.width:
             return f"({a})"
         msk = (1 << expr.width) - 1
-        return f"(_sx({a}, {expr.a.width}) & {msk})"
+        if isinstance(source, Const):
+            return repr(to_signed(source.value, source.width) & msk)
+        return f"({_signed(source, a)} & {msk})"
     if isinstance(expr, MemRead):
         if mem_of is None:
             raise WidthError("expression contains MemRead but no mem_of given")
@@ -470,9 +479,40 @@ def emit_py_node(
     raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
+def emit_operands(expr: Expr) -> tuple[Expr, ...]:
+    """The nodes whose code :func:`emit_py_node` takes as ``expr``'s operands.
+
+    These are :func:`expr_children`, except that a signed :class:`Ext`
+    takes the node whose sign bit it replicates: sign-extending a sign
+    extension, or an :class:`Ext` that keeps the width, is one sign
+    extension of the inner operand, so a chain is emitted as one.
+    """
+    if not (isinstance(expr, Ext) and expr.signed):
+        return expr_children(expr)
+    a = expr.a
+    while isinstance(a, Ext) and (a.signed or a.width == a.a.width):
+        a = a.a
+    return (a,)
+
+
+def _signed(expr: Expr, code: str) -> str:
+    """Code for the two's-complement value of ``expr``, whose unsigned code is ``code``.
+
+    ``(x ^ S) - S`` with ``S = 2**(w - 1)`` flips the sign bit's weight
+    from ``+S`` to ``-S``; it is exact because ``x`` is masked to ``w``
+    bits.  A constant is its signed literal.
+    """
+    if isinstance(expr, Const):
+        return repr(to_signed(expr.value, expr.width))
+    sign = 1 << (expr.width - 1)
+    return f"((({code}) ^ {sign}) - {sign})"
+
+
 def _emit_binop(expr: BinOp, a: str, b: str) -> str:
     kind = expr.kind
     msk = (1 << expr.width) - 1
+    # A constant shift amount needs no run-time range check.
+    amount = expr.b.value if isinstance(expr.b, Const) else None
     if kind is BinOpKind.ADD:
         return f"((({a}) + ({b})) & {msk})"
     if kind is BinOpKind.SUB:
@@ -480,7 +520,7 @@ def _emit_binop(expr: BinOp, a: str, b: str) -> str:
     if kind is BinOpKind.MUL:
         return f"((({a}) * ({b})) & {msk})"
     if kind is BinOpKind.MULS:
-        return f"((_sx({a}, {expr.a.width}) * _sx({b}, {expr.b.width})) & {msk})"
+        return f"(({_signed(expr.a, a)} * {_signed(expr.b, b)}) & {msk})"
     if kind is BinOpKind.AND:
         return f"(({a}) & ({b}))"
     if kind is BinOpKind.OR:
@@ -488,14 +528,19 @@ def _emit_binop(expr: BinOp, a: str, b: str) -> str:
     if kind is BinOpKind.XOR:
         return f"(({a}) ^ ({b}))"
     if kind is BinOpKind.SHL:
+        if amount is not None:
+            return f"((({a}) << {b}) & {msk})" if amount < expr.width else "0"
         return f"(((({a}) << ({b})) & {msk}) if ({b}) < {expr.width} else 0)"
     if kind is BinOpKind.LSHR:
+        if amount is not None:
+            return f"(({a}) >> {b})" if amount < expr.width else "0"
         return f"((({a}) >> ({b})) if ({b}) < {expr.width} else 0)"
     if kind is BinOpKind.ASHR:
-        return (
-            f"((_sx({a}, {expr.a.width}) >> "
-            f"(({b}) if ({b}) < {expr.width - 1} else {expr.width - 1})) & {msk})"
-        )
+        top = expr.width - 1
+        if amount is not None:
+            return f"(({_signed(expr.a, a)} >> {min(amount, top)}) & {msk})"
+        return (f"(({_signed(expr.a, a)} >> "
+                f"(({b}) if ({b}) < {top} else {top})) & {msk})")
     if kind is BinOpKind.EQ:
         return f"(1 if ({a}) == ({b}) else 0)"
     if kind is BinOpKind.NE:
@@ -508,15 +553,15 @@ def _emit_binop(expr: BinOp, a: str, b: str) -> str:
         return f"(1 if ({a}) > ({b}) else 0)"
     if kind is BinOpKind.UGE:
         return f"(1 if ({a}) >= ({b}) else 0)"
-    wa, wb = expr.a.width, expr.b.width
+    sa, sb = _signed(expr.a, a), _signed(expr.b, b)
     if kind is BinOpKind.SLT:
-        return f"(1 if _sx({a}, {wa}) < _sx({b}, {wb}) else 0)"
+        return f"(1 if {sa} < {sb} else 0)"
     if kind is BinOpKind.SLE:
-        return f"(1 if _sx({a}, {wa}) <= _sx({b}, {wb}) else 0)"
+        return f"(1 if {sa} <= {sb} else 0)"
     if kind is BinOpKind.SGT:
-        return f"(1 if _sx({a}, {wa}) > _sx({b}, {wb}) else 0)"
+        return f"(1 if {sa} > {sb} else 0)"
     if kind is BinOpKind.SGE:
-        return f"(1 if _sx({a}, {wa}) >= _sx({b}, {wb}) else 0)"
+        return f"(1 if {sa} >= {sb} else 0)"
     raise TypeError(f"unknown binop {kind}")
 
 

@@ -27,11 +27,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..core.bits import to_signed
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..rtl.elaborate import Netlist
-from ..rtl.ir import Const, Expr, Ref, Signal, emit_py_node, expr_children
+from ..rtl.ir import (Const, Expr, Ref, Signal, emit_operands, emit_py_node,
+                      expr_children)
 from ..rtl.module import Memory
 
 __all__ = ["CompiledNetlist", "compile_netlist"]
@@ -143,7 +143,7 @@ class ScalarLowering:
         self.attrs: dict[str, int] = {}
 
     def node(self, em: Emitter, expr: Expr) -> str:
-        operands = [em.code_for(child) for child in expr_children(expr)]
+        operands = [em.code_for(child) for child in emit_operands(expr)]
         return emit_py_node(expr, operands, self._ref_of, self._mem_of)
 
     def enable(self, em: Emitter, next_code: str, en: Expr, current: str) -> str:
@@ -157,7 +157,8 @@ class ScalarLowering:
                       f"        mems[{mi}][{name}[0]] = {name}[1]"]
 
     def namespace(self) -> dict[str, object]:
-        return {"_sx": to_signed}
+        # The emitted code is plain integer arithmetic: it needs no helper.
+        return {}
 
     def result(self, **parts) -> CompiledNetlist:
         return CompiledNetlist(**parts)

@@ -302,8 +302,9 @@ class Simulator:
             if self.lanes == 1:
                 # One lane settles right after the edge, B lanes at the
                 # next peek.  The one-lane pass is redundant, but the
-                # throughput bars of benchmarks/bench_sim_speed.py were
-                # set on this schedule (ROADMAP item 2).
+                # scalar engine already streams xls-s8 about as fast as
+                # 16 lanes, so dropping it waits on the serve tier's
+                # engine choice (ROADMAP item 9).
                 self.settle()
             self.cycles += 1
             for watcher in self._watchers:

@@ -165,6 +165,28 @@ class TestIdctKernels:
         outs = run_row_kernel(design, mats)
         assert outs == [chen_wang_idct(m) for m in mats]
 
+    @pytest.mark.parametrize("build", [maxj_initial, maxj_opt])
+    def test_stepping_is_a_sim_stream_span(self, build):
+        from repro import obs
+        from repro.obs import trace as obs_trace
+
+        design = build()
+        netlist = elaborate(design.top)
+        obs.disable()
+        obs.clear()
+        obs.enable()
+        try:
+            assert verify_maxj(design, random_matrices(2), netlist)
+            spans = [r for r in obs_trace.events()
+                     if r.name == "sim.stream" and r.kind == "span"]
+        finally:
+            obs.disable()
+            obs.clear()
+        assert len(spans) == 1
+        meta = design.meta["maxj"]
+        ticks = 2 * (1 if meta["ticks_per_op"] == 1 else 8) + meta["pipeline_depth"]
+        assert spans[0].attrs == {"matrices": 2, "cycles": ticks}
+
     def test_deep_pipelines_make_highest_frequency(self):
         # The paper: MaxJ runs at 403 MHz, the fastest of all designs.
         from repro.frontends.vlog import verilog_opt

@@ -34,11 +34,10 @@ def evaluate(expr, env=None):
 
 
 def evaluate_compiled(expr, env=None):
-    """Evaluate via the emitted Python code path."""
+    """Evaluate via the emitted Python code path, which needs no helper."""
     env = env or {}
     code = emit_py(expr, lambda sig: f"env[{sig.name!r}]")
-    namespace = {"_sx": to_signed, "env": env}
-    return eval(code, namespace)
+    return eval(code, {"env": env})
 
 
 def both(expr, env=None):
@@ -166,6 +165,112 @@ class TestSemantics:
     def test_signal_reference(self):
         sig = Signal("x", 8)
         assert both(Ref(sig), {"x": 42}) == 42
+
+
+_EDGE_WIDTHS = [1, 2, 8, 63, 64, 65, 97, 128]
+_SIGNED_KINDS = [BinOpKind.MULS, BinOpKind.SLT, BinOpKind.SLE, BinOpKind.SGT,
+                 BinOpKind.SGE]
+
+
+def _edge_values(width):
+    """0, 1, S - 1, S, S + 1 and all-ones for ``S = 2**(width - 1)``."""
+    sign, ones = 1 << (width - 1), (1 << width) - 1
+    return sorted({v & ones for v in (0, 1, sign - 1, sign, sign + 1, ones)})
+
+
+def _operands(sig, value):
+    """The same value as a signal read (``env``) and as a constant."""
+    return [(Ref(sig), {sig.name: value}), (Const(value, sig.width), {})]
+
+
+class TestInlineSignedOps:
+    """The emitted code sign-extends inline, with no helper, and folds constants.
+
+    Every signed operation is checked at the widths around Python's
+    small-int and machine-word edges, with the values around the sign bit,
+    on signal operands and on constant ones (which fold at emit time).
+    """
+
+    @pytest.mark.parametrize("width", _EDGE_WIDTHS)
+    def test_signed_ext_matches_interpreter(self, width):
+        for value in _edge_values(width):
+            for operand, env in _operands(Signal("a", width), value):
+                for out in (width, width + 1, 2 * width + 3):
+                    expected = to_signed(value, width) & ((1 << out) - 1)
+                    assert both(Ext(operand, out, signed=True), env) == expected
+
+    @pytest.mark.parametrize("width", _EDGE_WIDTHS)
+    def test_signed_binops_match_interpreter(self, width):
+        a_sig, b_sig = Signal("a", width), Signal("b", width)
+        values = _edge_values(width)
+        for va in values:
+            for vb in values:
+                for a, env_a in _operands(a_sig, va):
+                    for b, env_b in _operands(b_sig, vb):
+                        for kind in _SIGNED_KINDS:
+                            both(BinOp(kind, a, b), {**env_a, **env_b})
+
+    @pytest.mark.parametrize("width", _EDGE_WIDTHS)
+    def test_ashr_matches_interpreter(self, width):
+        amount_sig = Signal("n", 8)
+        amounts = sorted({0, 1, width - 1, width, width + 1, 255} & set(range(256)))
+        for value in _edge_values(width):
+            for a, env in _operands(Signal("a", width), value):
+                for n in amounts:
+                    for amount, env_n in _operands(amount_sig, n):
+                        expr = BinOp(BinOpKind.ASHR, a, amount)
+                        expected = (to_signed(value, width) >> min(n, width - 1)
+                                    ) & ((1 << width) - 1)
+                        assert both(expr, {**env, **env_n}) == expected
+
+    @pytest.mark.parametrize("width", _EDGE_WIDTHS)
+    def test_nested_ext_chains_match_interpreter(self, width):
+        sig = Signal("a", width)
+        chains = [
+            lambda a: Ext(Ext(a, width + 5, signed=True), width + 9, signed=True),
+            lambda a: Ext(Ext(a, width, signed=False), width + 4, signed=True),
+            lambda a: Ext(Ext(Ext(a, width, signed=False), width + 1, signed=True),
+                          width + 1, signed=True),
+            lambda a: Ext(Ext(a, width + 2, signed=False), width + 3, signed=True),
+            lambda a: Ext(Ext(a, width + 2, signed=True), width + 3, signed=False),
+        ]
+        for value in _edge_values(width):
+            for operand, env in _operands(sig, value):
+                for chain in chains:
+                    both(chain(operand), env)
+
+    def test_an_ext_chain_is_emitted_as_one_extension(self):
+        x = Ref(Signal("x", 23))
+        chain = Ext(Ext(Ext(x, 23, signed=False), 24, signed=True), 32, signed=True)
+        code = emit_py(chain, lambda sig: sig.name)
+        assert code.count("^") == 1
+        assert f"^ {1 << 22})" in code
+
+    def test_constants_fold_at_emit_time(self):
+        x = Ref(Signal("x", 12))
+        ref_of = lambda sig: sig.name
+        # A signed Ext of a constant is a literal.
+        assert emit_py(Ext(Const(0x800, 12), 16, signed=True), ref_of) == repr(0xF800)
+        # A constant operand of a signed op is its signed literal.
+        code = emit_py(BinOp(BinOpKind.SLT, x, Const(-3, 12)), ref_of)
+        assert "< -3 " in code and str(0xFFD) not in code
+        # A constant shift amount needs no range check.
+        for kind in _SHIFTS:
+            assert " if " not in emit_py(BinOp(kind, x, Const(5, 4)), ref_of)
+        assert emit_py(BinOp(BinOpKind.SHL, x, Const(12, 4)), ref_of) == "0"
+        assert emit_py(BinOp(BinOpKind.LSHR, x, Const(15, 4)), ref_of) == "0"
+
+    def test_a_compiled_signed_design_runs_without_helpers(self):
+        from repro.api import Session
+        from repro.rtl import elaborate
+        from repro.sim.compile import ScalarLowering, compile_netlist
+
+        netlist = elaborate(Session().build("xls-s8").top)
+        compiled = compile_netlist(netlist)
+        assert "_sx(" not in compiled.source
+        assert f"^ {1 << 11}) - {1 << 11})" in compiled.source  # 12-bit inputs
+        assert ScalarLowering(netlist).namespace() == {}
+        assert set(compiled.settle.__globals__) == {"__builtins__", "settle", "tick"}
 
 
 class TestStructuralQueries:
