@@ -8,6 +8,8 @@ against one — and, on ``xls-s8``, whether the batch engine still wins
 on a design that moves its outputs through a 768-bit bus.
 """
 
+import statistics
+
 from repro import obs
 from repro.api import Session
 from repro.axis import StreamHarness
@@ -20,6 +22,7 @@ from repro.sim import Simulator
 BATCH_BLOCKS = 256
 BATCH_LANES = 16
 SCALAR_BLOCKS = 32
+SCALAR_STREAMS = 5
 
 
 def test_sim_throughput(benchmark):
@@ -45,6 +48,23 @@ def _span_stats(name):
             blocks += record.attrs.get("blocks",
                                        record.attrs.get("matrices", 0))
     return total_s, blocks
+
+
+def _median_us_per_block(run, name):
+    """``run`` :data:`SCALAR_STREAMS` times; the median us/block of its
+    ``name`` spans, and the blocks one run streams.
+
+    One stream is too short to time alone: on unchanged code a single
+    scalar leg read anywhere from 5x to 11x the packed one.
+    """
+    per_block = []
+    for _ in range(SCALAR_STREAMS):
+        obs.clear()
+        run()
+        total_s, blocks = _span_stats(name)
+        per_block.append(total_s * 1e6 / blocks)
+    obs.clear()
+    return statistics.median(per_block), blocks
 
 
 def test_sim_throughput_batch(benchmark):
@@ -80,19 +100,24 @@ def test_sim_throughput_batch(benchmark):
     obs.clear()
 
     # Scalar leg, run in the same 8-block chunks as test_sim_throughput
-    # above so both pay comparable pipeline-fill costs.  It is the
-    # bit-exactness oracle for both packed legs.
+    # above so both pay comparable pipeline-fill costs, and timed as the
+    # median of SCALAR_STREAMS runs.  It is the bit-exactness oracle for
+    # both packed legs.
     sim = Simulator(design.top)
     harness = StreamHarness(sim, design.spec)
     ref = []
-    for at in range(0, SCALAR_BLOCKS, 8):
-        sim.reset()
-        outs, _timing = harness.run_matrices(blocks[at:at + 8])
-        ref.extend(outs)
-    scalar_s, scalar_blocks = _span_stats("sim.stream")
-    scalar_settles = sim.settles  # lifetime counter, reset() keeps it
+
+    def scalar_leg():
+        ref.clear()
+        for at in range(0, SCALAR_BLOCKS, 8):
+            sim.reset()
+            outs, _timing = harness.run_matrices(blocks[at:at + 8])
+            ref.extend(outs)
+
+    scalar_us, scalar_blocks = _median_us_per_block(scalar_leg, "sim.stream")
+    # Lifetime counter (reset() keeps it), over every run.
+    scalar_settles = sim.settles / SCALAR_STREAMS
     assert scalar_blocks == SCALAR_BLOCKS
-    obs.clear()
 
     # One-lane leg: the same lowering and harness, each stream as deep as
     # one of the 16 lanes' share of a round.
@@ -112,7 +137,6 @@ def test_sim_throughput_batch(benchmark):
     # rounds pytest-benchmark decided to run.
     batch_s, batch_blocks = _span_stats("sim.batch.stream")
     batch_settles = runner.sim.settles
-    scalar_us = scalar_s * 1e6 / scalar_blocks
     one_us = one_s * 1e6 / one_blocks
     batch_us = batch_s * 1e6 / batch_blocks
     lane_speedup = one_us / batch_us
@@ -146,7 +170,8 @@ def test_sim_throughput_xls_batch(benchmark):
     case where it used to: its 768-bit output bus set a 769-bit lane
     stride until the packed lowering split wide buses into 96-bit
     fields.  Both legs stream the same :data:`BATCH_LANES` blocks, one as
-    a single stream (``sim.stream`` span), one a block per lane
+    a single stream (``sim.stream`` span, the median of
+    :data:`SCALAR_STREAMS` runs), one a block per lane
     (``sim.batch.stream`` span); the comparison is per block from the
     spans.
     """
@@ -160,14 +185,15 @@ def test_sim_throughput_xls_batch(benchmark):
     assert packed.sim.stride <= 97
 
     obs.enable()
-    obs.clear()
-    ref = scalar.run_blocks(blocks)
+    outs = []
+    scalar_us, _blocks = _median_us_per_block(
+        lambda: outs.append(scalar.run_blocks(blocks)), "sim.stream")
+    ref = outs[0]
+    assert all(out == ref for out in outs)
     outs = benchmark(packed.run_blocks, blocks)
     assert outs == ref
 
-    scalar_s, scalar_blocks = _span_stats("sim.stream")
     batch_s, batch_blocks = _span_stats("sim.batch.stream")
-    scalar_us = scalar_s * 1e6 / scalar_blocks
     batch_us = batch_s * 1e6 / batch_blocks
     print(f"\nxls-s8 scalar: {scalar_us:.0f} us/block, "
           f"batch: {batch_us:.0f} us/block ({BATCH_LANES} lanes, "

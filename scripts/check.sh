@@ -121,6 +121,26 @@ for design in verilog-opt xls-s8 vivado-hls-opt bsv-initial; do
 done
 echo "ok"
 
+echo "== lane smoke: 16-lane sim/batch idct equals the model engine =="
+# 37 IEEE 1180 blocks fill two rounds of 16 lanes and part of a third,
+# on the four served designs and two C-HLS points whose FSMs load few
+# registers per cycle.
+step python - <<'EOF'
+from repro.api import Session
+from repro.eval.verify import random_matrices
+
+session = Session()
+blocks = [[list(row) for row in m] for m in random_matrices(37)]
+for design in ("verilog-opt", "bsv-opt", "xls-s8", "bambu-opt",
+               "bambu-initial", "vivado-hls-opt"):
+    want = session.idct(design, blocks, engine="model")
+    for engine in ("sim", "batch"):
+        got = session.idct(design, blocks, engine=engine)
+        assert got == want, f"{design} engine {engine} differs from model"
+    print(f"{design}: sim, batch == model on {len(blocks)} blocks")
+EOF
+echo "ok"
+
 echo "== cache smoke: warm table2 run identical, with cache hits =="
 step python -m repro table2 --cache "$tmp/cache" > "$tmp/t2_cold.txt"
 step python -m repro table2 --cache "$tmp/cache" > "$tmp/t2_warm.txt"

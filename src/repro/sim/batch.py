@@ -2,8 +2,9 @@
 
 The scalar ``compiled`` engine walks one design instance per call.  This
 module holds the netlist compiler's second lowering, :class:`PackedLowering`:
-the compiler in :mod:`repro.sim.compile` (index maps, shared-subexpression
-hoisting, settle/tick assembly, ``exec``) turns the *same* levelized netlist
+the compiler in :mod:`repro.sim.compile` (index maps, structural
+common-subexpression elimination, the gated settle/tick assembly,
+``exec``) turns the *same* levelized netlist
 into a **lane-packed** evaluator, where every signal holds ``B`` independent
 simulation lanes packed into one Python big integer at a fixed stride
 ``S = F + 1``::
@@ -37,6 +38,10 @@ value and every guard bit is zero*:
   ``2**(W-1)`` first;
 * muxes smear the packed 1-bit select into a per-lane mask with
   ``(sel << W) - sel`` (no bigint multiply) and blend both arms;
+* registers tick in the compiler's enable groups: a group no lane
+  enables is skipped, one every lane enables takes its next values
+  directly, and only when the lanes disagree does each register merge
+  per lane, through the smeared enable;
 * the few genuinely scalar ops (full-width multiply of two signals,
   variable-amount shifts, reduction xor, memory ports) fall back to a
   per-lane loop that reuses the reference semantics from
@@ -397,31 +402,35 @@ class PackedLowering:
         """A per-lane mask temp: all-ones where ``sel``'s lane is 1.
 
         The mask fills the whole ``stride - 1``-bit lane field, so one
-        smear per distinct select expression serves every mux arm and
-        register enable of any width (masking wider than the value is
-        harmless — lane fields are exact).  ``(sel << k) - sel`` builds it
-        with two linear bigint ops instead of a multiply.
+        smear per distinct select expression serves every mux arm of any
+        width (masking wider than the value is harmless — lane fields are
+        exact).  ``(sel << k) - sel`` builds it with two linear bigint ops
+        instead of a multiply.
         """
-        name = em.memo.get(id(sel))
-        if name is None:
-            code = em.atom(sel)
-            name = em.memo[id(sel)] = em.bind(
-                f"(({code}) << {self.stride - 1}) - ({code})")
-        return name
+        k = self.stride - 1
+        return em.derived(sel, lambda code: f"(({code}) << {k}) - ({code})")
 
     # -- the compiler's hooks ------------------------------------------
-    def enable(self, em: Emitter, next_code: str, en: Expr, current: str) -> str:
-        smear = self.smear(em, en)
-        return f"((({next_code}) ^ {current}) & {smear}) ^ {current}"
+    operands = staticmethod(expr_children)
+
+    def commit(self, en: str, pairs: list[tuple[str, str]]) -> list[str]:
+        """Commit a group: plainly when every lane is enabled, else merged."""
+        plain = [f"    {cur} = {nxt}" for cur, nxt in pairs]
+        if self.lanes == 1:
+            return [f"if {en}:"] + plain
+        return ([f"if {en} == {self._lit(self.ones)}:"] + plain
+                + [f"elif {en}:", f"    m = ({en} << {self.stride - 1}) - {en}"]
+                + [f"    {cur} = ((({nxt}) ^ {cur}) & m) ^ {cur}"
+                   for cur, nxt in pairs])
 
     def mem_write(self, name: str, mi: int, mem: Memory, write,
-                  en: str, addr: str, data: str) -> tuple[str, list[str]]:
+                  en: str, addr: str, data: str) -> tuple[list[str], list[str]]:
         la = self._lit((1 << write.addr.width) - 1)
         ld = self._lit((1 << write.data.width) - 1)
         msk = self._lit((1 << mem.width) - 1)
-        return (f"(({en}), ({addr}), ({data}))",
-                [f"    _mwr(mems[{mi}], *{name}, {self.lanes}, {self.stride}, "
-                 f"{la}, {ld}, {mem.depth}, {msk})"])
+        return ([f"{name}a = {addr}", f"{name}d = {data}"],
+                [f"_mwr(mems[{mi}], {en}, {name}a, {name}d, {self.lanes}, "
+                 f"{self.stride}, {la}, {ld}, {mem.depth}, {msk})"])
 
     def namespace(self) -> dict[str, object]:
         return {"_K": tuple(self._objs), "_pl1": _pl1, "_pl2": _pl2,

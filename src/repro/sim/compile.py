@@ -15,23 +15,33 @@ A lowering may first rewrite the netlist it generates code from; the
 packed lowering splits wide buses (:func:`repro.sim.batch.split_wide`).
 Everything else is done here, once, for both: the signal and memory index
 maps, the levelized order, common-subexpression elimination, the settle
-and tick assembly, ``exec``, and the obs span and metrics.  Expression
-trees built by frontends are frequently DAGs (the same node object reused
-in many places); naive emission would duplicate shared subtrees
-exponentially, so :class:`Emitter` hoists every node referenced more than
-once into a local temporary first.
+and tick assembly, ``exec``, and the obs span and metrics.
+
+* **Structural common subexpressions.**  Expression trees built by
+  frontends are DAGs (the same node object reused in many places), and
+  they also build the same structure twice as distinct objects.
+  :class:`Emitter` numbers nodes by structure, so each one is emitted
+  once, and hoists every node referenced more than once into a local
+  temporary.
+* **A gated tick.**  HLS datapaths load few registers per FSM state, and
+  pipelines advance every stage on one shared enable.  ``tick`` groups
+  registers and memory write ports by their enable and computes, and
+  commits, a group's next values only under that enable; a node the
+  group's roots alone reach is computed inside its block.
 """
 
 from __future__ import annotations
 
 import re
+from collections import ChainMap
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..rtl.elaborate import Netlist
-from ..rtl.ir import (Const, Expr, Ref, Signal, emit_operands, emit_py_node,
-                      expr_children)
+from ..rtl.ir import (BinOp, Const, Expr, Ext, MemRead, Ref, Signal, Slice,
+                      UnOp, emit_operands, emit_py_node)
 from ..rtl.module import Memory
 
 __all__ = ["CompiledNetlist", "compile_netlist"]
@@ -64,51 +74,137 @@ class CompiledNetlist:
 # Code that is safe to reference twice without recomputing anything.
 _ATOM = re.compile(r"^(?:[A-Za-z_]\w*|v\[\d+\]|_K\[\d+\]|\d+)$")
 
+#: The owner of a node referenced from outside one enable group's roots.
+TOP = -1
+
+
+def _key(expr: Expr, kids: tuple[int, ...]) -> tuple:
+    """The structure of ``expr`` over the value numbers of its operands."""
+    t = type(expr)
+    if t is Const:
+        return (t, expr.value, expr.width)
+    if t is Ref:
+        return (t, expr.signal)
+    if t is BinOp or t is UnOp:
+        return (t, expr.kind, kids)
+    if t is Slice:
+        return (t, expr.hi, expr.lo, kids)
+    if t is Ext:
+        return (t, expr.width, expr.signed, kids)
+    if t is MemRead:
+        return (t, expr.memory, kids)
+    return (t, kids)  # Mux, Cat
+
 
 class Emitter:
-    """One function body: counts node references and hoists shared nodes.
+    """One function body: numbers nodes by structure and hoists shared ones.
 
-    The lowering renders each node through :meth:`code_for` (or
-    :meth:`atom`) on its children, so hoisting is decided here for every
-    node of every lowering.  ``memo`` is per-body scratch a lowering may
-    keep its own derived temporaries in.
+    :meth:`count` gives every node a *value number*: nodes of the same
+    type and attributes over the same operand numbers get the same one,
+    so a structure built twice by a frontend is emitted once.  The
+    operands are the lowering's (``lowering.operands``).  Each number is
+    counted once per reference from a root or from a distinct parent, and
+    the lowering renders each node through :meth:`code_for` (or
+    :meth:`atom`) on its operands, so hoisting a number referenced more
+    than once into a temporary is decided here for every lowering.
+
+    The same walk records the *owner* of each number: the enable group
+    whose roots are the only ones reaching it, or :data:`TOP`.  Inside
+    :meth:`block` a group's own nodes are emitted in place; a ``TOP``
+    node is bound in the top scope, before the first block, where every
+    block can read it.  Temporaries a lowering derives from a node
+    (:meth:`derived`) are scoped the same way: one bound inside a block
+    is forgotten when the block ends.
     """
 
     def __init__(self, lowering) -> None:
         self.lowering = lowering
-        self.lines: list[str] = []
-        self.memo: dict[int, str] = {}
-        self._counts: dict[int, int] = {}
+        self._operands = lowering.operands
+        self.merged = 0  # node objects numbered like an earlier structure
+        self._top: list[str] = []
+        self._top_memo: dict[int, str] = {}
+        self.lines = self._top
+        self._memo: dict[int, str] | ChainMap = self._top_memo
+        self._number_of: dict[int, int] = {}
+        self._table: dict[tuple, int] = {}
+        self._nodes: list[Expr] = []
+        self._kids: list[tuple[int, ...]] = []
+        self._counts: list[int] = []
+        self._owner: list[int] = []
         self._temp_of: dict[int, str] = {}
         self._next_temp = 0
 
-    def count(self, expr: Expr) -> None:
-        """Count references to every node (children of a node counted once)."""
-        key = id(expr)
-        self._counts[key] = self._counts.get(key, 0) + 1
-        if self._counts[key] > 1:
-            return
-        for child in expr_children(expr):
-            self.count(child)
+    def count(self, expr: Expr, group: int = TOP) -> int:
+        """Count one reference to ``expr`` from a root of ``group``."""
+        number = self._number(expr, group)
+        self._counts[number] += 1
+        return number
+
+    def _number(self, expr: Expr, group: int) -> int:
+        number = self._number_of.get(id(expr))
+        if number is None:
+            kids = tuple([self._number(kid, group)
+                          for kid in self._operands(expr)])
+            key = _key(expr, kids)
+            number = self._table.get(key)
+            if number is None:
+                number = self._table[key] = len(self._nodes)
+                self._number_of[id(expr)] = number
+                self._nodes.append(expr)
+                self._kids.append(kids)
+                self._counts.append(0)
+                self._owner.append(group)
+                for kid in kids:
+                    self._counts[kid] += 1
+                return number
+            self.merged += 1
+            self._number_of[id(expr)] = number
+        if self._owner[number] != group:
+            self._share(number)
+        return number
+
+    def _share(self, number: int) -> None:
+        """Mark a number reached from two groups, and all below it, ``TOP``."""
+        if self._owner[number] != TOP:
+            self._owner[number] = TOP
+            for kid in self._kids[number]:
+                self._share(kid)
+
+    @contextmanager
+    def block(self):
+        """Emit into a fresh body (returned) with its own memo scope."""
+        self.lines, self._memo = [], ChainMap({}, self._top_memo)
+        try:
+            yield self.lines
+        finally:
+            self.lines, self._memo = self._top, self._top_memo
 
     def bind(self, code: str) -> str:
         """Assign ``code`` to a fresh temporary and return its name."""
         name = f"t{self._next_temp}"
         self._next_temp += 1
-        self.lines.append(f"    {name} = {code}")
+        self.lines.append(f"{name} = {code}")
         return name
 
     def code_for(self, expr: Expr) -> str:
         """Python code for ``expr``; a shared node is computed once."""
-        key = id(expr)
-        code = self._temp_of.get(key)
+        number = self._number_of[id(expr)]
+        code = self._temp_of.get(number)
         if code is not None:
             return code
-        code = self.lowering.node(self, expr)
-        if self._counts.get(key, 0) > 1 and not isinstance(expr, (Const, Ref)):
+        if self._owner[number] == TOP and self.lines is not self._top:
+            inner = self.lines, self._memo
+            self.lines, self._memo = self._top, self._top_memo
+            try:
+                return self.code_for(expr)
+            finally:
+                self.lines, self._memo = inner
+        node = self._nodes[number]
+        code = self.lowering.node(self, node)
+        if self._counts[number] > 1 and not isinstance(node, (Const, Ref)):
             if not _ATOM.match(code):
                 code = self.bind(code)
-            self._temp_of[key] = code
+            self._temp_of[number] = code
         return code
 
     def atom(self, expr: Expr) -> str:
@@ -116,8 +212,16 @@ class Emitter:
         code = self.code_for(expr)
         return code if _ATOM.match(code) else self.bind(code)
 
+    def derived(self, expr: Expr, make) -> str:
+        """A temporary of ``make(atom of expr)``, bound once per scope."""
+        number = self._number_of[id(expr)]
+        name = self._memo.get(number)
+        if name is None:
+            name = self._memo[number] = self.bind(make(self.atom(expr)))
+        return name
+
     def statement(self, line: str) -> None:
-        self.lines.append(f"    {line}")
+        self.lines.append(line)
 
 
 class ScalarLowering:
@@ -142,19 +246,20 @@ class ScalarLowering:
         self.header: list[str] = []
         self.attrs: dict[str, int] = {}
 
+    operands = staticmethod(emit_operands)
+
     def node(self, em: Emitter, expr: Expr) -> str:
         operands = [em.code_for(child) for child in emit_operands(expr)]
         return emit_py_node(expr, operands, self._ref_of, self._mem_of)
 
-    def enable(self, em: Emitter, next_code: str, en: Expr, current: str) -> str:
-        return f"({next_code}) if ({em.code_for(en)}) else {current}"
+    def commit(self, en: str, pairs: list[tuple[str, str]]) -> list[str]:
+        return [f"if {en}:"] + [f"    {cur} = {nxt}" for cur, nxt in pairs]
 
     def mem_write(self, name: str, mi: int, mem: Memory, write,
-                  en: str, addr: str, data: str) -> tuple[str, list[str]]:
-        stmt = (f"(({addr}) % {mem.depth}, "
-                f"({data}) & {(1 << mem.width) - 1}) if ({en}) else None")
-        return stmt, [f"    if {name} is not None:",
-                      f"        mems[{mi}][{name}[0]] = {name}[1]"]
+                  en: str, addr: str, data: str) -> tuple[list[str], list[str]]:
+        return ([f"{name}a = ({addr}) % {mem.depth}",
+                 f"{name}d = ({data}) & {(1 << mem.width) - 1}"],
+                [f"mems[{mi}][{name}a] = {name}d"])
 
     def namespace(self) -> dict[str, object]:
         # The emitted code is plain integer arithmetic: it needs no helper.
@@ -182,6 +287,12 @@ def compile_lowered(netlist: Netlist, lowering_cls, **options):
     it.  The span is the lowering's (``sim.compile`` /
     ``sim.batch.compile``), covers that rewrite, and carries ``options``
     as attributes.
+
+    ``tick`` is gated: registers and memory write ports are grouped by
+    the value number of their enable, and a group's next values are
+    computed, and committed, only under ``if e<g>:``.  All next values
+    are computed before the first commit.  Write ports commit in their
+    original order, so the last enabled port to one address wins.
     """
     with obs_trace.span(lowering_cls.span, netlist=netlist.name,
                         **options) as span:
@@ -196,33 +307,74 @@ def compile_lowered(netlist: Netlist, lowering_cls, **options):
             settle.statement(f"v[{index_of[sig]}] = {settle.code_for(expr)}")
 
         tick = Emitter(lowering)
-        # roots() lists the assigns first; the rest are what tick samples.
-        for root in netlist.roots()[len(netlist.assigns):]:
-            tick.count(root)
-        commits: list[str] = []
+        group_of: dict[int, int] = {}  # enable value number -> group
+        enables: list[Expr] = []
+
+        def group(en: Expr | None) -> int:
+            if en is None:
+                return TOP
+            g = group_of.setdefault(tick.count(en), len(enables))
+            if g == len(enables):
+                enables.append(en)
+            return g
+
+        regs: dict[int, list[int]] = {}    # group -> register indexes
+        writes: dict[int, list[tuple]] = {}  # group -> write ports
         for i, reg in enumerate(netlist.registers):
-            current = f"v[{index_of[reg.signal]}]"
-            code = tick.code_for(reg.next)
-            if reg.en is not None:
-                code = lowering.enable(tick, code, reg.en, current)
-            tick.statement(f"n{i} = {code}")
-            commits.append(f"    {current} = n{i}")
+            g = group(reg.en)
+            regs.setdefault(g, []).append(i)
+            tick.count(reg.next, g)
+        port = 0
         for mi, mem in enumerate(netlist.memories):
-            for wi, write in enumerate(mem.writes):
-                name = f"w{mi}_{wi}"
-                en, addr, data = (tick.code_for(expr)
-                                  for expr in (write.en, write.addr, write.data))
-                stmt, commit = lowering.mem_write(name, mi, mem, write,
-                                                  en, addr, data)
-                tick.statement(f"{name} = {stmt}")
-                commits.extend(commit)
+            for write in mem.writes:
+                g = group(write.en)
+                writes.setdefault(g, []).append((port, mi, mem, write))
+                tick.count(write.addr, g)
+                tick.count(write.data, g)
+                port += 1
+
+        def compute(i: int) -> None:
+            tick.statement(f"n{i} = {tick.code_for(netlist.registers[i].next)}")
+
+        def commits(g: int) -> list[tuple[str, str]]:
+            return [(f"v[{index_of[netlist.registers[i].signal]}]", f"n{i}")
+                    for i in regs.get(g, ())]
+
+        # The enables and the ungated next values, then a block per group.
+        for g, en in enumerate(enables):
+            tick.statement(f"e{g} = {tick.code_for(en)}")
+        for i in regs.get(TOP, ()):
+            compute(i)
+        blocks: list[str] = []
+        port_commits: list[tuple[int, list[str]]] = []
+        for g in range(len(enables)):
+            with tick.block() as body:
+                for i in regs.get(g, ()):
+                    compute(i)
+                for port, mi, mem, write in writes.get(g, ()):
+                    lines, commit = lowering.mem_write(
+                        f"w{port}", mi, mem, write, f"e{g}",
+                        tick.code_for(write.addr), tick.code_for(write.data))
+                    body += lines
+                    port_commits.append((port, [f"if e{g}:"] + _indent(commit)))
+            blocks += [f"if e{g}:"] + _indent(body)
+
+        # Commits, once every next value is computed: the ungated
+        # registers, each group's registers, then the write ports in
+        # port order.
+        tail = [f"{cur} = {nxt}" for cur, nxt in commits(TOP)]
+        for g in range(len(enables)):
+            if g in regs:
+                tail += lowering.commit(f"e{g}", commits(g))
+        for _port, commit in sorted(port_commits):
+            tail += commit
 
         source = "\n".join(
             lowering.header
             + ["def settle(v, mems):"]
-            + (settle.lines or ["    pass"])
+            + (_indent(settle.lines) or ["    pass"])
             + ["", "def tick(v, mems):"]
-            + ((tick.lines + commits) or ["    pass"])
+            + (_indent(tick.lines + blocks + tail) or ["    pass"])
         )
         namespace = lowering.namespace()
         exec(compile(source, f"<{lowering.filename} {netlist.name}>", "exec"),
@@ -232,7 +384,9 @@ def compile_lowered(netlist: Netlist, lowering_cls, **options):
             obs_metrics.inc(f"{lowering.metric}.netlists")
             obs_metrics.observe(f"{lowering.metric}.source_lines", n_lines)
             span.set(signals=len(index_of), **lowering.attrs,
-                     source_lines=n_lines)
+                     source_lines=n_lines,
+                     cse_merged=settle.merged + tick.merged,
+                     enable_groups=len(enables))
         return lowering.result(
             netlist=netlist,
             index_of=index_of,
@@ -242,3 +396,7 @@ def compile_lowered(netlist: Netlist, lowering_cls, **options):
             source=source,
             fields=lowering.fields,
         )
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]

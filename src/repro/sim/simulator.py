@@ -301,10 +301,9 @@ class Simulator:
             self._dirty = True
             if self.lanes == 1:
                 # One lane settles right after the edge, B lanes at the
-                # next peek.  The one-lane pass is redundant, but the
-                # scalar engine already streams xls-s8 about as fast as
-                # 16 lanes, so dropping it waits on the serve tier's
-                # engine choice (ROADMAP item 9).
+                # next peek.  The one-lane pass is redundant; dropping
+                # it waits on the serve tier's per-design engine choice
+                # (ROADMAP item 9).
                 self.settle()
             self.cycles += 1
             for watcher in self._watchers:

@@ -305,6 +305,26 @@ class TestCompileSpans:
         assert counters["sim.compile.netlists"] == 1
         assert counters["sim.batch.netlists"] == 3
 
+    def test_spans_count_merged_nodes_and_enable_groups(self, traced):
+        from repro.rtl import elaborate
+
+        m = Module("twice")
+        a, b, c = (m.input(n, 16) for n in "abc")
+        en = m.input("en", 1)
+        for i in range(2):  # the same structure, built twice
+            m.assign(m.output(f"o{i}", 16),
+                     ops.add(ops.bits(ops.mul(a, b), 15, 0), c))
+        r = m.reg("r", 16)
+        m.set_next(r, ops.add(r, a), en=en)
+        netlist = elaborate(m)
+        traced.clear()
+        compile_batch(netlist, lanes=2)
+        Simulator(netlist, engine="compiled")
+        spans = (self.spans(traced, "sim.batch.compile")
+                 + self.spans(traced, "sim.compile"))
+        assert [span.attrs["enable_groups"] for span in spans] == [1, 1]
+        assert all(span.attrs["cse_merged"] >= 3 for span in spans)
+
 
 # ---------------------------------------------------------------------------
 # full design matrix: batch engine vs the interp oracle, every frontend
