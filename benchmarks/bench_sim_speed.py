@@ -76,10 +76,11 @@ def test_sim_throughput_batch(benchmark):
     engines.  The >=5x bar is on the mechanism it exists for: lanes
     amortize the per-cycle Python cost.  So it compares like with like,
     the same packed lowering and harness on one lane streaming as many
-    blocks as each of the 16 lanes does.  Lazy settling is part of that
-    mechanism: 16 lanes settle about once per cycle for the whole cohort,
-    where one lane settles twice per cycle (after each edge, and again
-    after the next pokes).  The argument is from obs span data
+    blocks as each of the 16 lanes does.  Settling is part of that
+    mechanism: every engine at every lane count settles lazily, about
+    once per cycle, and on 16 lanes that one pass serves the whole
+    cohort, so a block costs about a sixteenth of the settles it costs
+    on one lane.  The argument is from obs span data
     (``sim.stream`` / ``sim.batch.stream`` durations and blocks) and the
     simulators' lifetime settle counters, not ad-hoc timing.
 
@@ -155,7 +156,7 @@ def test_sim_throughput_batch(benchmark):
     source = runner.sim.compiled_source
     assert "_pl1(" not in source
     assert "_pl2(" not in source
-    assert batch_settles / BATCH_BLOCKS < scalar_settles / scalar_blocks
+    assert batch_settles / batch_blocks < scalar_settles / scalar_blocks
     assert lane_speedup >= 5.0
     assert batch_us <= scalar_us
     obs.clear()

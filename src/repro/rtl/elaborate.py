@@ -77,7 +77,11 @@ class Netlist:
         return roots
 
     def signals(self) -> list[Signal]:
-        """Every signal in the netlist, in a stable order."""
+        """Every signal in the netlist, in a stable order: inputs, assign
+        targets, registers, then outputs.  The netlist must be valid
+        (:meth:`validate`), so no signal is read undeclared; ``split_wide``
+        and fault injection rewrite only declared signals and keep it so.
+        """
         seen: dict[Signal, None] = {}
         for sig in self.inputs:
             seen.setdefault(sig)
@@ -87,12 +91,6 @@ class Netlist:
             seen.setdefault(reg.signal)
         for sig in self.outputs:
             seen.setdefault(sig)
-        # signals only ever read (should not exist after validation)
-        visited: set[int] = set()
-        for root in self.roots():
-            for node in distinct_nodes(root, visited):
-                if isinstance(node, Ref):
-                    seen.setdefault(node.signal)
         return list(seen)
 
     def validate(self) -> None:

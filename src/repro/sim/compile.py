@@ -53,7 +53,7 @@ class CompiledNetlist:
 
     ``settle(values, mems)`` propagates combinational logic in place;
     ``tick(values, mems)`` samples register/memory inputs and commits them
-    (callers must settle first and settle again afterwards).
+    (callers must settle first, and again before reading the new state).
 
     ``netlist`` is the netlist the code was generated from, after the
     lowering's rewrite of the input one.  ``fields`` maps each signal of the

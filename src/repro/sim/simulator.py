@@ -15,9 +15,10 @@ semantics:
   one settle/tick pass for all of them.  At one lane it runs the exact
   code a multi-lane simulator executes.
 
-The simulation contract per clock cycle: poke inputs, (implicitly) settle
-combinational logic, observe outputs, then :meth:`step` commits registers
-and memory writes.
+The simulation contract per clock cycle: poke inputs, observe outputs,
+then :meth:`step` commits registers and memory writes.  Combinational
+logic settles lazily, at the first read after a poke or an edge, on every
+engine and at every lane count.
 """
 
 from __future__ import annotations
@@ -288,6 +289,9 @@ class Simulator:
     def step(self, cycles: int = 1) -> None:
         """Advance every lane by ``cycles`` clock edges.
 
+        Each edge settles what was poked since the last read, then ticks;
+        the new state settles at the next read, or at the next edge.
+
         While a :mod:`repro.resilience.budget` is armed, each edge charges
         one cycle against it — one clock, however many lanes it advances;
         :class:`~repro.core.errors.BudgetExceeded` propagates before the
@@ -299,12 +303,6 @@ class Simulator:
             self.settle()
             self._tick_code(self._values, self._engine_mems)
             self._dirty = True
-            if self.lanes == 1:
-                # One lane settles right after the edge, B lanes at the
-                # next peek.  The one-lane pass is redundant; dropping
-                # it waits on the serve tier's per-design engine choice
-                # (ROADMAP item 9).
-                self.settle()
             self.cycles += 1
             for watcher in self._watchers:
                 watcher(self.cycles)

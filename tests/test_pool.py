@@ -282,10 +282,12 @@ class TestLadder:
         async def body(pool):
             worker = pool.workers[0]
             os.kill(worker.pid, signal.SIGKILL)
+            # The heartbeat that respawned the worker may still be
+            # pinging it, so wait for the slot to go idle as well.
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
                 await asyncio.sleep(0.05)
-                if worker.restarts:
+                if worker.restarts and worker.state == "idle":
                     break
             assert worker.restarts == 1
             assert worker.state == "idle"

@@ -271,6 +271,44 @@ class TestLanes:
         assert batch.peek_lanes("total") == [(0x40 + 3 * 35) & 0xFF] * lanes
 
 
+class TestSettling:
+    """One clock contract: settle at the first read after a change."""
+
+    CYCLES = 12
+
+    def test_every_engine_and_lane_count_settles_alike(self):
+        netlist = elaborate(make_ram_acc())
+        sims = {
+            "interp": Simulator(netlist, engine="interp"),
+            "compiled": Simulator(netlist, engine="compiled"),
+            "batch/1": Simulator(netlist, engine="batch", lanes=1),
+            "batch/3": Simulator(netlist, engine="batch", lanes=3),
+        }
+
+        def check_reads():
+            seen = {}
+            for label, sim in sims.items():
+                lanes = {name: sim.peek_lanes(name)
+                         for name in ("rdata", "total")}
+                assert all(len(set(v)) == 1 for v in lanes.values()), label
+                seen[label] = {name: v[0] for name, v in lanes.items()}
+            assert len({tuple(v.items()) for v in seen.values()}) == 1, seen
+
+        for cycle in range(self.CYCLES):
+            for sim in sims.values():
+                sim.poke("we", cycle % 3 != 2)
+                sim.poke("waddr", cycle)
+                sim.poke("wdata", 17 * cycle + 5)
+                sim.poke("raddr", (cycle - 1) % 8)
+            check_reads()
+            for sim in sims.values():
+                sim.step()
+        # The edge alone settles nothing; the first read after it does.
+        assert {sim.settles for sim in sims.values()} == {self.CYCLES}
+        check_reads()
+        assert {sim.settles for sim in sims.values()} == {self.CYCLES + 1}
+
+
 class TestEngines:
     def test_unknown_engine_rejected(self):
         with pytest.raises(SimulationError):
