@@ -410,7 +410,9 @@ class Session:
         ``use_cache`` defaults to whether this session has a cache
         configured, so a warm ``verify`` benefits from the
         content-addressed store exactly like :meth:`measure`; pass
-        ``use_cache=False`` to force a fresh measurement.
+        ``use_cache=False`` to force a fresh measurement.  Only the
+        default ``compiled`` engine is cached; ``engine="batch"`` or
+        ``"interp"`` always simulates.
         """
         engine = resolve_engine(engine or default_engine("sim"), "sim")
         if use_cache is None:

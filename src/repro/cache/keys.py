@@ -6,8 +6,10 @@ exactly as long as all three are unchanged:
 * the **code digest** — a SHA-256 over the ``repro`` source tree, so any
   edit to the framework invalidates everything it may have influenced;
 * the **design identity** — name and configuration of the design point;
-* the **pipeline phase** plus its parameters (``n_matrices``, ``engine``,
-  ``max_dsp`` …), so the same design can hold one artifact per phase.
+* the **pipeline phase** plus its parameters (a measurement's
+  ``n_matrices``), so the same design can hold one artifact per phase.
+  The simulator engine is not one: only ``compiled`` measurements are
+  stored (:func:`repro.eval.measure.measure_design`).
 
 The code digest walks the package directory once per process and is
 memoized; tests point ``root`` at a scratch tree to exercise

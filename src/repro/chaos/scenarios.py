@@ -31,12 +31,6 @@ Scenarios
     ``/v1/idct`` answer must be either byte-correct (the retried batch)
     or an explicit error status — never a hang, never a silently wrong
     body — and the pool must record the deaths it recovered from.
-``batch-engine``
-    The invariant with ``engine="batch"`` under fire: a clean
-    batch-engine fig1 sweep must be byte-identical to the compiled
-    engine's, worker kills during a batch-engine sweep must recover to
-    byte-identical output, and rotted batch-engine cache artifacts must
-    be quarantined and recomputed.
 ``fabric-kill``
     A live fabric master (short ``fabric_lease_s``) with a two-process
     pull-worker fleet under ``kill≈0.7`` chaos: workers SIGKILL
@@ -296,58 +290,6 @@ def _serve_kill(seed: int, jobs: int) -> int:
     return _report("serve-kill", violations)
 
 
-def _batch_engine(seed: int, jobs: int) -> int:
-    """The honest-failure invariant, with the batch engine under fire.
-
-    Three checks: (1) a clean batch-engine sweep is byte-identical to the
-    compiled engine's, (2) worker kills during a batch-engine sweep
-    recover to byte-identical output, (3) cache rot under the batch
-    engine is detected and recomputed, never trusted.
-    """
-    import tempfile
-
-    from ..api import Session
-    from ..cache import ArtifactCache
-    from ..resilience.runner import RunnerConfig
-
-    batch_cfg = RunnerConfig(engine="batch")
-    clean_compiled = _fig1_text(Session(jobs=1))
-    clean = _fig1_text(Session(jobs=1, runner=batch_cfg))
-    violations: list[str] = []
-    if clean != clean_compiled:
-        violations.append(
-            "clean batch-engine sweep differs from the compiled engine — "
-            "the engines disagree before any chaos was injected")
-
-    kill_session = Session(jobs=max(2, jobs), runner=batch_cfg,
-                           chaos=ChaosPolicy(seed=seed, kill=0.7))
-    chaotic = _fig1_text(kill_session)
-    violations += check_invariant(clean, chaotic)
-    stats = kill_session.last_runner.stats
-    if not stats.get("worker_restarts"):
-        violations.append(
-            "no worker restarts recorded — the kills never happened, "
-            "so the scenario proved nothing")
-
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as root:
-        cold = _fig1_text(Session(
-            jobs=1, runner=batch_cfg, cache=ArtifactCache(root),
-            chaos=ChaosPolicy(seed=seed, corrupt=1.0)))
-        warm_session = Session(jobs=1, runner=batch_cfg,
-                               cache=ArtifactCache(root))
-        warm = _fig1_text(warm_session)
-    violations += check_invariant(clean, cold)
-    violations += check_invariant(clean, warm)
-    corrupt = warm_session.cache.stats["corrupt"]
-    if not corrupt:
-        violations.append(
-            "warm batch-engine run detected no corrupt artifacts — either "
-            "the rot never landed or a rotted artifact was trusted")
-    print(f"  worker restarts: {stats.get('worker_restarts', 0)}, "
-          f"artifacts quarantined: {corrupt}")
-    return _report("batch-engine", violations)
-
-
 def _fabric_kill(seed: int, jobs: int) -> int:
     """SIGKILL fabric pull-workers mid-lease; the sweep must converge.
 
@@ -518,7 +460,6 @@ SCENARIOS = {
     "cache-rot": _cache_rot,
     "serve-flaky": _serve_flaky,
     "serve-kill": _serve_kill,
-    "batch-engine": _batch_engine,
     "fabric-kill": _fabric_kill,
     "qos-storm": _qos_storm,
 }

@@ -8,13 +8,14 @@ Commands:
 
 * ``table1``            — print the tool classification (paper Table I);
 * ``table2 [--tools ...] [--jobs N] [--cache DIR] [--csv PATH]
-  [--trace PATH] [--metrics PATH] [--engine E]``
+  [--trace PATH] [--metrics PATH]``
   — regenerate the evaluation table (optionally with per-phase traces);
 * ``fig1 [--full] [--jobs N] [--cache DIR] [--csv PATH] [--trace PATH]
-  [--metrics PATH] [--engine E]``
+  [--metrics PATH]``
   — regenerate the DSE scatter;
 * ``verify <design> [--engine interp|compiled|batch]`` — build and
-  verify one design by name; exits 1 on a compliance failure;
+  verify one design by name; exits 1 on a compliance failure; the one
+  command with an engine choice (sweeps measure on ``compiled``);
 * ``engines [--json]`` — list the registered evaluation engines with
   their contexts and capabilities (the :mod:`repro.engines` registry);
   ``--json`` is byte-identical to the service's ``GET /v1/engines``;
@@ -59,8 +60,8 @@ Commands:
   the detection rate drops below ``--min-detect``;
 * ``chaos <scenario> [--seed S] [--jobs N]`` — run a seeded chaos drill
   (``worker-kill``, ``cache-rot``, ``serve-flaky``, ``serve-kill``,
-  ``batch-engine``, ``fabric-kill``, ``qos-storm``, or ``all``) and
-  assert the honest-failure invariant; exits 1 on any violation;
+  ``fabric-kill``, ``qos-storm``, or ``all``) and assert the
+  honest-failure invariant; exits 1 on any violation;
 * ``list``              — list all registered design names.
 
 ``table2`` and ``fig1`` share the execution flags: ``--jobs N`` (measure
@@ -74,11 +75,8 @@ honest ``FAILED(…)`` cell exactly like a twice-crashed local worker),
 across runs and commands), ``--checkpoint PATH`` (JSONL progress log),
 ``--resume`` (skip designs already in the checkpoint), ``--inject-fault
 NAME`` (force a design to fail, repeatable), ``--budget-s`` /
-``--budget-cycles`` (per-design budgets), ``--retries``, ``--engine E``
-(simulator engine for every measurement — ``batch`` runs each design's
-stream through the lane-packed compiler with output byte-identical to
-``compiled``), ``--chaos SPEC`` (seeded fault injection), and the
-observability exports:
+``--budget-cycles`` (per-design budgets), ``--retries``, ``--chaos SPEC``
+(seeded fault injection), and the observability exports:
 ``--trace PATH`` (span JSONL), ``--metrics PATH`` (metrics + phase
 timings JSON), ``--events PATH`` (structured event JSONL for ``obs
 tail``).  Any of the three turns instrumentation on; each sweep run
@@ -192,13 +190,8 @@ def _make_session(args, *, trace: bool = False):
     from .api import Session
     from .resilience.runner import RunnerConfig
 
-    from .engines import resolve_engine
-
     config = RunnerConfig(wall_s=args.budget_s, max_cycles=args.budget_cycles,
-                          retries=args.retries,
-                          engine=resolve_engine(
-                              getattr(args, "engine", None) or "compiled",
-                              "sim"))
+                          retries=args.retries)
     return Session(jobs=args.jobs, cache=args.cache, runner=config,
                    trace=trace, checkpoint=args.checkpoint,
                    resume=args.resume,
@@ -278,12 +271,6 @@ def _cmd_fig1(args) -> int:
         print(f"\nwrote {args.csv}")
     _obs_finish(args, tracing)
     return 0
-
-
-def _sim_engine_names() -> tuple[str, ...]:
-    from .engines import engine_names
-
-    return engine_names("sim")
 
 
 def _cmd_engines(args) -> int:
@@ -604,6 +591,8 @@ def _cmd_list(_args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .engines import engine_names
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'HLS versus Hardware Construction' (DATE 2023)",
@@ -641,10 +630,6 @@ def main(argv: list[str] | None = None) -> int:
                             "(keys: seed, kill, poison, corrupt, flaky, "
                             "latency; kill/poison also take @substr "
                             "task-id targets)")
-        p.add_argument("--engine", choices=_sim_engine_names(),
-                       default="compiled",
-                       help="simulator engine for every measurement "
-                            "(see `python -m repro engines`)")
         p.add_argument("--fabric", metavar="URL",
                        help="route the sweep through a fabric master "
                             "(a `serve` instance) and its `work` "
@@ -682,7 +667,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_verify = sub.add_parser("verify", help="verify one design by name")
     p_verify.add_argument("design")
-    p_verify.add_argument("--engine", choices=_sim_engine_names(),
+    p_verify.add_argument("--engine", choices=engine_names("sim"),
                           default="compiled",
                           help="simulator evaluation engine")
     p_verify.add_argument("--cache", metavar="DIR",
@@ -822,8 +807,8 @@ def main(argv: list[str] | None = None) -> int:
                       "invariant")
     p_chaos.add_argument("scenario",
                          choices=("worker-kill", "cache-rot", "serve-flaky",
-                                  "serve-kill", "batch-engine",
-                                  "fabric-kill", "qos-storm", "all"))
+                                  "serve-kill", "fabric-kill", "qos-storm",
+                                  "all"))
     p_chaos.add_argument("--seed", type=int, default=3,
                          help="chaos policy seed (default 3)")
     p_chaos.add_argument("--jobs", type=int, default=2,

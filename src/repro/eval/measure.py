@@ -84,10 +84,12 @@ class Measured:
         return cls(**{k: v for k, v in data.items() if k in names})
 
 
-# Keyed like the disk artifact: (design name, config, n_matrices, engine).
-# One name can carry two configs (Table II's ``xls-s8`` is ``opt``, Fig. 1's
-# is ``stages-8``), and two engines' measurements must not shadow each other.
-_CACHE: dict[tuple[str, str, int, str], Measured] = {}
+# Keyed like the disk artifact: (design name, config, n_matrices).  One
+# name can carry two configs (Table II's ``xls-s8`` is ``opt``, Fig. 1's
+# is ``stages-8``).  Only ``compiled`` measurements are kept, here and on
+# disk: the engines are bit-exact, so another engine's run is worth making
+# only to check that, and it must not be answered from the cache.
+_CACHE: dict[tuple[str, str, int], Measured] = {}
 
 
 def clear_measure_cache() -> None:
@@ -108,8 +110,11 @@ def measure_design(point: Design | Recipe, n_matrices: int = 4,
     design identity, the measurement parameters, and the source-tree
     code digest, so repeat sweeps (and other commands measuring the same
     design points) skip building, simulation and synthesis entirely.
+    A measurement on any ``engine`` but ``compiled`` always runs and is
+    never stored; it still reads and writes the netlist artifact.
     """
-    memo_key = (point.name, point.config, n_matrices, engine)
+    use_cache = use_cache and engine == "compiled"
+    memo_key = (point.name, point.config, n_matrices)
     if use_cache and memo_key in _CACHE:
         obs_trace.event("measure.cache_hit", design=point.name)
         obs_metrics.inc("measure.cache_hits")
@@ -118,8 +123,7 @@ def measure_design(point: Design | Recipe, n_matrices: int = 4,
     key = None
     if disk is not None:
         key = artifact_cache.artifact_key(
-            "measured", point.name, point.config,
-            n_matrices=n_matrices, engine=engine)
+            "measured", point.name, point.config, n_matrices=n_matrices)
         payload = disk.get_json("measured", key)
         if payload is not None:
             obs_trace.event("measure.disk_cache_hit", design=point.name)

@@ -56,7 +56,6 @@ def verify_design(
     seed: int = 1,
     simulator: Simulator | None = None,
     strict: bool = True,
-    engine: str = "compiled",
     low: int = 256,
     high: int = 255,
     sign: int = 1,
@@ -66,13 +65,13 @@ def verify_design(
 
     Raises :class:`EvaluationError` on a functional mismatch when
     ``strict`` (the default) — a design whose output is wrong must never
-    contribute numbers to a reproduction table.  ``engine`` selects the
-    simulator evaluation engine when no ``simulator`` is supplied;
-    ``low``/``high``/``sign`` pick the IEEE 1180 input condition the
-    stimulus is drawn from, or pass explicit ``matrices`` (used by the
-    fault-injection campaign's directed batteries).
+    contribute numbers to a reproduction table.  Without a ``simulator``
+    it runs on the ``compiled`` engine.  ``low``/``high``/``sign`` pick
+    the IEEE 1180 input condition the stimulus is drawn from, or pass
+    explicit ``matrices`` (used by the fault-injection campaign's
+    directed batteries).
     """
-    sim = simulator or Simulator(design.top, engine=engine)
+    sim = simulator or Simulator(design.top)
     harness = StreamHarness(sim, design.spec)
     if matrices is None:
         matrices = random_matrices(n_matrices, seed, low, high, sign)

@@ -22,7 +22,7 @@ __all__ = ["SweepTask", "TaskSchemaError", "TASK_SCHEMA_VERSION",
 #: Version tag stamped on every serialized task.  Bump when the wire
 #: layout changes; readers reject anything they don't understand instead
 #: of guessing.
-TASK_SCHEMA_VERSION = 1
+TASK_SCHEMA_VERSION = 2
 
 
 class TaskSchemaError(ReproError):

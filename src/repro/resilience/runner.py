@@ -23,7 +23,7 @@ All failure/retry/budget events flow through ``repro.obs`` counters
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.errors import (
     BudgetExceeded,
@@ -57,14 +57,11 @@ class RunnerConfig:
     wall_s: float | None = None       # per-design wall-clock budget
     max_cycles: int | None = None     # per-design simulation-cycle budget
     retries: int = 1                  # same-config retries after attempt 1
-    degrade: bool = True              # add a final degraded-config attempt
     n_matrices: int = 4               # streamed matrices per measurement
-    engine: str = "compiled"          # simulator engine for normal attempts
 
     def degraded_kwargs(self) -> dict:
         """The degraded final attempt: reference engine, shorter stream."""
-        return {"n_matrices": max(2, self.n_matrices - 1),
-                "engine": "interp", "use_cache": False}
+        return {"n_matrices": max(2, self.n_matrices - 1), "engine": "interp"}
 
 
 @dataclass
@@ -203,16 +200,9 @@ class SweepRunner:
         obs_trace.event("resilience.checkpoint_hit", design=name)
         return result_from_record(record, from_checkpoint=True)
 
-    def _attempt_plan(self) -> list[bool]:
-        """Per-attempt degraded flags: normal, retries…, degraded final."""
-        plan = [False] * (1 + max(0, self.config.retries))
-        if self.config.degrade:
-            plan.append(True)
-        return plan
-
     def _measure_with_retries(self, design: Design | Recipe) -> DesignResult:
-        config = self.config
-        plan = self._attempt_plan()
+        # Per-attempt degraded flags: normal, retries…, degraded final.
+        plan = [False] * (1 + max(0, self.config.retries)) + [True]
         if isinstance(design, Recipe):
             design = design.once()  # retries reuse one build
         last_error: dict | None = None
@@ -252,7 +242,7 @@ class SweepRunner:
                                 degraded=degraded)
         return DesignResult(name=design.name, status="failed",
                             error=last_error, attempts=len(plan),
-                            degraded=config.degrade)
+                            degraded=True)
 
     def _attempt(self, design: Design | Recipe, degraded: bool) -> Measured:
         config = self.config
@@ -260,8 +250,7 @@ class SweepRunner:
             raise ScheduleError("injected fault (forced sweep failure)",
                                 design=design.name, phase="injected")
         kwargs = (config.degraded_kwargs() if degraded
-                  else {"n_matrices": config.n_matrices,
-                        "engine": config.engine})
+                  else {"n_matrices": config.n_matrices})
         budget = res_budget.Budget(
             wall_s=config.wall_s, max_cycles=config.max_cycles,
             design=design.name, phase="measure",

@@ -47,6 +47,7 @@ __all__ = [
     "emit_operands",
     "distinct_nodes",
     "expr_children",
+    "node_key",
     "with_children",
     "expr_signals",
     "expr_mem_reads",
@@ -582,6 +583,31 @@ def expr_children(expr: Expr) -> tuple[Expr, ...]:
     if isinstance(expr, MemRead):
         return (expr.addr,)
     return ()
+
+
+def node_key(expr: Expr, kids: tuple) -> tuple:
+    """The structure of ``expr`` over ``kids``, its operands' identities.
+
+    Two nodes with equal keys compute the same value, so a pass that keys
+    nodes by it merges equal structures built as distinct objects.  The
+    caller says what identifies an operand: the optimizer passes the
+    ``id`` of each canonical child, the simulator compiler its value
+    number.
+    """
+    t = type(expr)
+    if t is Const:
+        return (t, expr.value, expr.width)
+    if t is Ref:
+        return (t, expr.signal)
+    if t is BinOp or t is UnOp:
+        return (t, expr.kind, kids)
+    if t is Slice:
+        return (t, expr.hi, expr.lo, kids)
+    if t is Ext:
+        return (t, expr.width, expr.signed, kids)
+    if t is MemRead:
+        return (t, expr.memory, kids)
+    return (t, kids)  # Mux, Cat
 
 
 def with_children(expr: Expr, kids: Sequence[Expr]) -> Expr:

@@ -22,9 +22,8 @@ on random stimuli for every pass combination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..core.errors import ReproError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .elaborate import FlatRegister, Netlist
@@ -40,11 +39,11 @@ from .ir import (
     Ref,
     Signal,
     Slice,
-    UnOp,
     eval_expr,
     expr_children,
     expr_mem_reads,
     expr_signals,
+    node_key,
     with_children,
 )
 from .module import Memory, MemWrite
@@ -180,30 +179,8 @@ class _Rewriter:
             return expr.parts[0]
         return expr
 
-    # -- structural hashing -------------------------------------------------
-    def _key(self, expr: Expr) -> tuple:
-        if isinstance(expr, Const):
-            return ("const", expr.value, expr.width)
-        if isinstance(expr, Ref):
-            return ("ref", id(expr.signal))
-        if isinstance(expr, BinOp):
-            return ("bin", expr.kind, id(expr.a), id(expr.b))
-        if isinstance(expr, UnOp):
-            return ("un", expr.kind, id(expr.a))
-        if isinstance(expr, Mux):
-            return ("mux", id(expr.sel), id(expr.if_true), id(expr.if_false))
-        if isinstance(expr, Cat):
-            return ("cat",) + tuple(id(p) for p in expr.parts)
-        if isinstance(expr, Slice):
-            return ("slice", id(expr.a), expr.hi, expr.lo)
-        if isinstance(expr, Ext):
-            return ("ext", id(expr.a), expr.width, expr.signed)
-        if isinstance(expr, MemRead):
-            return ("memread", id(expr.memory), id(expr.addr))
-        raise ReproError(f"unhashable node {type(expr).__name__}")
-
     def _canonicalize(self, expr: Expr) -> Expr:
-        key = self._key(expr)
+        key = node_key(expr, tuple(map(id, expr_children(expr))))
         existing = self._canon.get(key)
         if existing is not None:
             if existing is not expr:

@@ -53,8 +53,8 @@ One consumer sits on top of :func:`compile_batch`:
 memory list per lane and hands them all to the packed code.  At one lane
 a packed value *is* the plain value (a split signal's fields sit in slots
 of their own and are reassembled on a peek), which is how
-``verify``/``fig1``/``table2 --engine batch`` run, and why their output
-is byte-identical to ``--engine compiled``.  At ``lanes=B``,
+``verify --engine batch`` runs, and why its output is byte-identical to
+``--engine compiled``.  At ``lanes=B``,
 :meth:`StreamHarness.run_blocks <repro.axis.harness.StreamHarness.run_blocks>`
 streams N blocks through the lanes (one settle per clock for all of
 them); the serving tier's ``"sim"`` and ``"batch"`` engines and the

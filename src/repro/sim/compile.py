@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..rtl.elaborate import Netlist
-from ..rtl.ir import (BinOp, Const, Expr, Ext, MemRead, Ref, Signal, Slice,
-                      UnOp, emit_operands, emit_py_node)
+from ..rtl.ir import (Const, Expr, Ref, Signal, emit_operands, emit_py_node,
+                      node_key)
 from ..rtl.module import Memory
 
 __all__ = ["CompiledNetlist", "compile_netlist"]
@@ -76,24 +76,6 @@ _ATOM = re.compile(r"^(?:[A-Za-z_]\w*|v\[\d+\]|_K\[\d+\]|\d+)$")
 
 #: The owner of a node referenced from outside one enable group's roots.
 TOP = -1
-
-
-def _key(expr: Expr, kids: tuple[int, ...]) -> tuple:
-    """The structure of ``expr`` over the value numbers of its operands."""
-    t = type(expr)
-    if t is Const:
-        return (t, expr.value, expr.width)
-    if t is Ref:
-        return (t, expr.signal)
-    if t is BinOp or t is UnOp:
-        return (t, expr.kind, kids)
-    if t is Slice:
-        return (t, expr.hi, expr.lo, kids)
-    if t is Ext:
-        return (t, expr.width, expr.signed, kids)
-    if t is MemRead:
-        return (t, expr.memory, kids)
-    return (t, kids)  # Mux, Cat
 
 
 class Emitter:
@@ -145,7 +127,7 @@ class Emitter:
         if number is None:
             kids = tuple([self._number(kid, group)
                           for kid in self._operands(expr)])
-            key = _key(expr, kids)
+            key = node_key(expr, kids)
             number = self._table.get(key)
             if number is None:
                 number = self._table[key] = len(self._nodes)

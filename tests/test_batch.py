@@ -23,7 +23,8 @@ from repro.api import (
 )
 from repro.axis import StreamHarness
 from repro.core.errors import SimulationError, UsageError
-from repro.eval.measure import _CACHE, clear_measure_cache, measure_design
+from repro.eval.measure import (_CACHE, Measured, clear_measure_cache,
+                                measure_design)
 from repro.eval.verify import random_matrices
 from repro.frontends.vlog import verilog_initial, verilog_opt
 from repro.idct.reference import chen_wang_idct
@@ -493,6 +494,19 @@ class TestEngineRegistry:
         assert excinfo.value.code == 2
         assert "hopeful" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["table2", "--engine", "batch"],
+                                      ["fig1", "--engine", "batch"],
+                                      ["chaos", "batch-engine"]],
+                             ids=["table2", "fig1", "chaos"])
+    def test_sweeps_have_no_engine_choice(self, argv, capsys):
+        # Sweeps measure on the default engine; choosing one is verify's.
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert argv[-1] in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # cache threading through Session.verify and the measure memo
@@ -526,16 +540,40 @@ class TestVerifyCaching:
         finally:
             obs.disable()
             obs.clear()
-        assert ("verilog-initial", "initial", 4, "compiled") not in _CACHE
+        assert ("verilog-initial", "initial", 4) not in _CACHE
         assert fresh.bit_exact
 
-    def test_measure_memo_is_engine_keyed(self):
-        clear_measure_cache()
+    @pytest.mark.parametrize("engine", ["batch", "interp"])
+    def test_only_compiled_measurements_are_cached(self, tmp_path, engine):
+        from repro import obs
+        from repro.cache import ArtifactCache, activate, artifact_key
+        from repro.obs import metrics as obs_metrics
+
         design = verilog_initial()
-        compiled = measure_design(design, engine="compiled")
-        batch = measure_design(design, engine="batch")
-        assert ((design.name, design.config, 4, "compiled") in _CACHE
-                and (design.name, design.config, 4, "batch") in _CACHE)
-        # two engines, one truth: identical measurements either way
-        assert compiled == batch
+        cache = ArtifactCache(tmp_path / "cache")
+        clear_measure_cache()
+        obs.enable()
+        obs.clear()
+        try:
+            with activate(cache):
+                compiled = measure_design(design, n_matrices=2)
+                # neither the memo nor the disk "measured" artifact may
+                # answer another engine: it simulates every time
+                for _ in range(2):
+                    other = measure_design(design, n_matrices=2,
+                                           engine=engine)
+                assert other == compiled
+                assert obs_metrics.counter("measure.designs").value == 3
+                assert obs_metrics.counter("measure.cache_hits").value == 0
+        finally:
+            obs.disable()
+            obs.clear()
+        assert list(_CACHE) == [(design.name, design.config, 2)]
+        assert _CACHE[(design.name, design.config, 2)] == compiled
+        stored = [path for path in (tmp_path / "cache" / "measured").rglob("*")
+                  if path.is_file()]
+        assert len(stored) == 1
+        key = artifact_key("measured", design.name, design.config,
+                           n_matrices=2)
+        assert Measured.from_dict(cache.get_json("measured", key)) == compiled
         clear_measure_cache()

@@ -147,9 +147,9 @@ class TestOneNetlistPerPoint:
                     [dataclasses.asdict(r) for r in single], (key, design.name)
 
     def test_cached_netlist_feeds_the_simulator(self, tmp_path, traced):
-        # A cache holding the netlist but no measured artifact for this
-        # engine (as after an engine switch) must simulate the unpickled
-        # netlist and measure exactly what an uncached run measures.
+        # A batch-engine measurement never reads the measured artifact,
+        # so it simulates the netlist unpickled from the cache, and must
+        # measure exactly what an uncached run measures.
         from repro.cache import ArtifactCache, activate
         from repro.eval.measure import clear_measure_cache
         from repro.frontends.vlog import verilog_initial
