@@ -51,12 +51,15 @@ def _span_stats(name):
 
 
 def _median_us_per_block(run, name):
-    """``run`` :data:`SCALAR_STREAMS` times; the median us/block of its
-    ``name`` spans, and the blocks one run streams.
+    """``run`` once untimed, then :data:`SCALAR_STREAMS` times; the median
+    us/block of its ``name`` spans, and the blocks one run streams.
 
     One stream is too short to time alone: on unchanged code a single
-    scalar leg read anywhere from 5x to 11x the packed one.
+    scalar leg read anywhere from 5x to 11x the packed one.  The first
+    pass over a freshly compiled simulator runs slower still, so it is
+    not timed.
     """
+    run()
     per_block = []
     for _ in range(SCALAR_STREAMS):
         obs.clear()
@@ -116,8 +119,9 @@ def test_sim_throughput_batch(benchmark):
             ref.extend(outs)
 
     scalar_us, scalar_blocks = _median_us_per_block(scalar_leg, "sim.stream")
-    # Lifetime counter (reset() keeps it), over every run.
-    scalar_settles = sim.settles / SCALAR_STREAMS
+    # Lifetime counter (reset() keeps it), over every run, the untimed
+    # one too.
+    scalar_settles = sim.settles / (SCALAR_STREAMS + 1)
     assert scalar_blocks == SCALAR_BLOCKS
 
     # One-lane leg: the same lowering and harness, each stream as deep as
@@ -132,16 +136,20 @@ def test_sim_throughput_batch(benchmark):
             assert one.run_blocks(blocks[at:at + depth]) == ref[at:at + depth]
 
     one_us, one_blocks = _median_us_per_block(one_lane_leg, "sim.stream")
-    one_settles = one.sim.settles / SCALAR_STREAMS
+    one_settles = one.sim.settles / (SCALAR_STREAMS + 1)
     assert one_blocks == SCALAR_BLOCKS
 
+    # One untimed round, like every leg above.
+    runner.run_blocks(blocks)
+    warm_settles = runner.sim.settles
+    obs.clear()
     outs = benchmark(runner.run_blocks, blocks)
     assert outs[:SCALAR_BLOCKS] == ref
 
-    # Lifetime settles over lifetime blocks: correct across however many
-    # rounds pytest-benchmark decided to run.
+    # Settles over blocks of the timed rounds: correct across however
+    # many rounds pytest-benchmark decided to run.
     batch_s, batch_blocks = _span_stats("sim.batch.stream")
-    batch_settles = runner.sim.settles
+    batch_settles = runner.sim.settles - warm_settles
     batch_us = batch_s * 1e6 / batch_blocks
     lane_speedup = one_us / batch_us
     print(f"\nscalar: {scalar_us:.0f} us/block "
@@ -173,9 +181,9 @@ def test_sim_throughput_xls_batch(benchmark):
     lose to the scalar compiled one on any served design.  xls-s8 is the
     case where it used to: its 768-bit output bus set a 769-bit lane
     stride until the packed lowering split wide buses into 96-bit
-    fields.  Both legs stream the same :data:`BATCH_LANES` blocks, one as
-    a single stream (``sim.stream`` span, the median of
-    :data:`SCALAR_STREAMS` runs), one a block per lane
+    fields.  Both legs stream the same :data:`BATCH_LANES` blocks, each
+    after one untimed run: one as a single stream (``sim.stream`` span,
+    the median of :data:`SCALAR_STREAMS` runs), one a block per lane
     (``sim.batch.stream`` span); the comparison is per block from the
     spans.
     """
@@ -194,6 +202,8 @@ def test_sim_throughput_xls_batch(benchmark):
         lambda: outs.append(scalar.run_blocks(blocks)), "sim.stream")
     ref = outs[0]
     assert all(out == ref for out in outs)
+    packed.run_blocks(blocks)  # untimed, like the scalar leg's first run
+    obs.clear()
     outs = benchmark(packed.run_blocks, blocks)
     assert outs == ref
 

@@ -117,22 +117,31 @@ done
 echo "ok"
 
 echo "== lane smoke: 16-lane sim/batch idct equals the model engine =="
-# 37 IEEE 1180 blocks fill two rounds of 16 lanes and part of a third,
-# on the four served designs and two C-HLS points whose FSMs load few
-# registers per cycle.
-step python - <<'EOF'
+# On every streamed design (all but MaxJ), two requests per engine with
+# different blocks: 37 IEEE 1180 blocks fill two rounds of 16 lanes and
+# part of a third, then 21 more.  The sim and batch engines share the
+# design's one 16-lane simulator, so every request after the first
+# starts from the partition state the previous one left in its tick.
+step python - "$tmp/list.txt" <<'EOF'
+import sys
+
 from repro.api import Session
 from repro.eval.verify import random_matrices
 
 session = Session()
-blocks = [[list(row) for row in m] for m in random_matrices(37)]
-for design in ("verilog-opt", "bsv-opt", "xls-s8", "bambu-opt",
-               "bambu-initial", "vivado-hls-opt"):
-    want = session.idct(design, blocks, engine="model")
-    for engine in ("sim", "batch"):
-        got = session.idct(design, blocks, engine=engine)
-        assert got == want, f"{design} engine {engine} differs from model"
-    print(f"{design}: sim, batch == model on {len(blocks)} blocks")
+requests = [[[list(row) for row in m] for m in random_matrices(n, seed=seed)]
+            for n, seed in ((37, 1), (21, 2))]
+designs = [name for name in open(sys.argv[1]).read().split()
+           if not name.startswith("maxj-")]
+assert len(designs) == 12, designs
+for design in designs:
+    for blocks in requests:
+        want = session.idct(design, blocks, engine="model")
+        for engine in ("sim", "batch"):
+            got = session.idct(design, blocks, engine=engine)
+            assert got == want, f"{design} engine {engine} differs from model"
+    print(f"{design}: sim, batch == model on "
+          f"{' then '.join(str(len(b)) for b in requests)} blocks")
 EOF
 echo "ok"
 

@@ -42,6 +42,12 @@ value and every guard bit is zero*:
   enables is skipped, one every lane enables takes its next values
   directly, and only when the lanes disagree does each register merge
   per lane, through the smeared enable;
+* the next values are computed by guarded partitions (``gated``): a
+  dataflow-connected group of statements reruns only when a packed value
+  it reads differs from the one it last ran on, so a drained pipeline
+  stage costs one tuple compare per cycle.  The saved values belong to
+  the simulator whose value list the tick runs on; a partition that
+  reads memory runs every cycle;
 * the few genuinely scalar ops (full-width multiply of two signals,
   variable-amount shifts, reduction xor, memory ports) fall back to a
   per-lane loop that reuses the reference semantics from
@@ -361,6 +367,7 @@ class PackedLowering:
     span = "sim.batch.compile"
     metric = "sim.batch"
     filename = "batch netlist"
+    gated = True  # a tick of guarded partitions (see compile_lowered)
 
     def __init__(self, netlist: Netlist, lanes: int) -> None:
         # Code is generated from the split netlist, where nothing is

@@ -28,6 +28,11 @@ and tick assembly, ``exec``, and the obs span and metrics.
   registers and memory write ports by their enable and computes, and
   commits, a group's next values only under that enable; a node the
   group's roots alone reach is computed inside its block.
+* **Guarded partitions (packed lowering).**  A pipeline changes few of
+  its registers in a cycle once it drains.  The packed ``tick`` computes
+  each dataflow-connected group of next-state statements only when a
+  value it reads changed since it last ran (:func:`_partition`); the
+  scalar ``tick`` stays straight-line.
 """
 
 from __future__ import annotations
@@ -217,6 +222,7 @@ class ScalarLowering:
     span = "sim.compile"
     metric = "sim.compile"
     filename = "netlist"
+    gated = False  # a straight-line tick (see compile_lowered)
 
     def __init__(self, netlist: Netlist) -> None:
         self.netlist = netlist
@@ -275,6 +281,15 @@ def compile_lowered(netlist: Netlist, lowering_cls, **options):
     computed, and committed, only under ``if e<g>:``.  All next values
     are computed before the first commit.  Write ports commit in their
     original order, so the last enabled port to one address wins.
+
+    A lowering with ``gated`` set (the packed one) also guards its
+    next-state code by partition (:func:`_partition`): a partition runs
+    only when what it reads changed.  Its ``tick`` is then a generator
+    whose locals carry the partitions' values from cycle to cycle,
+    resumed once a cycle by :func:`_ticker`; the commits are unchanged.
+    The scalar lowering keeps a straight-line ``tick``: streamed back to
+    back, its designs change most of their state every cycle, and the
+    guards' text would only lengthen ``compile()``.
     """
     with obs_trace.span(lowering_cls.span, netlist=netlist.name,
                         **options) as span:
@@ -322,6 +337,14 @@ def compile_lowered(netlist: Netlist, lowering_cls, **options):
             return [(f"v[{index_of[netlist.registers[i].signal]}]", f"n{i}")
                     for i in regs.get(g, ())]
 
+        partitions = 0  # guarded so far; the scalar lowering guards none
+
+        def partitioned(region: list[str]) -> list[str]:
+            nonlocal partitions
+            if lowering.gated:
+                region, partitions = _partition(region, partitions)
+            return region
+
         # The enables and the ungated next values, then a block per group.
         for g, en in enumerate(enables):
             tick.statement(f"e{g} = {tick.code_for(en)}")
@@ -339,7 +362,9 @@ def compile_lowered(netlist: Netlist, lowering_cls, **options):
                         tick.code_for(write.addr), tick.code_for(write.data))
                     body += lines
                     port_commits.append((port, [f"if e{g}:"] + _indent(commit)))
-            blocks += [f"if e{g}:"] + _indent(body)
+            blocks += [f"if e{g}:"] + _indent(partitioned(body))
+        # The blocks add to the head as they go, so it is partitioned last.
+        head = partitioned(tick.lines)
 
         # Commits, once every next value is computed: the ungated
         # registers, each group's registers, then the write ports in
@@ -351,12 +376,23 @@ def compile_lowered(netlist: Netlist, lowering_cls, **options):
         for _port, commit in sorted(port_commits):
             tail += commit
 
+        if lowering.gated:
+            # A generator: its locals (the guards ``g<j>`` and every
+            # temporary) live from one cycle to the next.  The loop body
+            # keeps the plain tick's indentation.
+            saved = " = ".join(f"g{j}" for j in range(partitions))
+            before = (["def tick(v):"] + ([f"  {saved} = None"] if saved else [])
+                      + ["  mems = yield", "  while 1:"])
+            after = ["    mems = yield"]
+        else:
+            before, after = ["def tick(v, mems):"], []
+
         source = "\n".join(
             lowering.header
             + ["def settle(v, mems):"]
             + (_indent(settle.lines) or ["    pass"])
-            + ["", "def tick(v, mems):"]
-            + (_indent(tick.lines + blocks + tail) or ["    pass"])
+            + [""] + before
+            + (_indent(head + blocks + tail) or ["    pass"]) + after
         )
         namespace = lowering.namespace()
         exec(compile(source, f"<{lowering.filename} {netlist.name}>", "exec"),
@@ -368,16 +404,106 @@ def compile_lowered(netlist: Netlist, lowering_cls, **options):
             span.set(signals=len(index_of), **lowering.attrs,
                      source_lines=n_lines,
                      cse_merged=settle.merged + tick.merged,
-                     enable_groups=len(enables))
+                     enable_groups=len(enables), partitions=partitions)
         return lowering.result(
             netlist=netlist,
             index_of=index_of,
             mem_index_of=lowering.mem_index_of,
             settle=namespace["settle"],
-            tick=namespace["tick"],
+            tick=(_ticker(namespace["tick"]) if lowering.gated
+                  else namespace["tick"]),
             source=source,
             fields=lowering.fields,
         )
+
+
+# What a tick statement reads: a slot, a temporary, an enable, a next
+# value, a write port's address or data, or the memories.  The names the
+# namespace provides start with an underscore, and the packed lowering
+# writes no keyword.
+_READ = re.compile(r"v\[\d+\]|[A-Za-z_]\w*")
+
+
+def _partition(region: list[str], first: int) -> tuple[list[str], int]:
+    """Regroup one region's statements into partitions and guard them.
+
+    A region is the tick's head (before the first block) or one enable
+    block; every statement in it is ``name = code``.  A partition is a
+    dataflow-connected group of statements in the region.  A guarded
+    partition runs only when the values it reads from outside itself
+    (``v`` slots, enables, the head's temporaries) differ from the ones
+    saved in ``g<j>`` when it last ran; otherwise its names keep the
+    values of that run.  A partition that reads memory is never guarded
+    (a memory write changes no slot), nor is a lone statement, whose
+    guard would cost about as much as its body.  Guards are numbered
+    from ``first``; returns the region's new lines and the next number.
+    """
+    statements = [(name, [tok for tok in _READ.findall(code) if tok[0] != "_"],
+                   line)
+                  for line in region for name, code in [line.split(" = ", 1)]]
+    count = first
+    lines: list[str] = []
+    for part in _components(statements):
+        own = {name for name, _, _ in part}
+        support = dict.fromkeys(tok for _, used, _ in part
+                                for tok in used if tok not in own)
+        body = [line for _, _, line in part]
+        if len(part) == 1 or "mems" in support:
+            lines += body
+            continue
+        lines += [f"k = {', '.join(support) or '()'}",
+                  f"if k != g{count}:", f"    g{count} = k"]
+        lines += _indent(body)
+        count += 1
+    return lines, count
+
+
+def _components(region: list[tuple]) -> list[list[tuple]]:
+    """The dataflow-connected statements of a region, in first-use order."""
+    parent = list(range(len(region)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    at = {name: i for i, (name, _, _) in enumerate(region)}
+    for i, (_name, used, _line) in enumerate(region):
+        for tok in used:
+            j = at.get(tok)
+            if j is not None:
+                parent[root(j)] = root(i)
+    groups: dict[int, list[tuple]] = {}
+    for i, stmt in enumerate(region):
+        groups.setdefault(root(i), []).append(stmt)
+    return list(groups.values())
+
+
+def _ticker(make):
+    """``tick(v, mems)`` that resumes the generator ``make(v)`` once a cycle.
+
+    The generator's locals are the saved partition state.  It belongs to
+    the value list it was started on, one simulator's: a call with
+    another list, or the first call after one that raised (a generator
+    that raised is dead), starts a fresh generator, whose first cycle
+    runs every partition.
+    """
+    owner = resume = None
+
+    def tick(v, mems):
+        nonlocal owner, resume
+        if v is not owner:
+            gen = make(v)
+            next(gen)
+            owner, resume = v, gen.send
+        try:
+            resume(mems)
+        except BaseException:
+            owner = None
+            raise
+
+    return tick
 
 
 def _indent(lines: list[str]) -> list[str]:

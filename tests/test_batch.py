@@ -326,6 +326,21 @@ class TestCompileSpans:
         assert [span.attrs["enable_groups"] for span in spans] == [1, 1]
         assert all(span.attrs["cse_merged"] >= 3 for span in spans)
 
+    def test_packed_span_counts_guarded_partitions(self, traced):
+        from repro.eval.measure import design_netlist
+
+        netlist = design_netlist(Session().build("xls-s8"))
+        traced.clear()
+        compiled = compile_batch(netlist, lanes=16)
+        Simulator(netlist, engine="compiled")
+        [packed] = self.spans(traced, "sim.batch.compile")
+        [scalar] = self.spans(traced, "sim.compile")
+        # The served xls-s8 pipeline: one guard per partition in the
+        # packed tick; the scalar tick is straight-line.
+        assert packed.attrs["partitions"] == 271
+        assert compiled.source.count("if k != g") == 271
+        assert scalar.attrs["partitions"] == 0
+
 
 # ---------------------------------------------------------------------------
 # full design matrix: batch engine vs the interp oracle, every frontend

@@ -6,6 +6,10 @@ absent enables must step identically on ``interp``, ``compiled``, one
 packed lane and three packed lanes.  Deterministic checks pin down the
 shape of the emitted code: one multiply for two equal trees, one ``if``
 per distinct enable, and shared nodes before the first ``if``.
+
+The packed tick skips a partition whose inputs did not change, so its
+tests hold inputs still and change them one at a time: a guard that
+misses one input shows only when that input alone changes.
 """
 
 import random
@@ -224,3 +228,136 @@ class TestEmittedShape:
         # What one group alone reads is computed inside its block.
         assert "- (v[1])" in blocks and "- (v[1])" not in head
         assert "| (v[1])" in blocks and "| (v[1])" not in head
+
+
+# ---------------------------------------------------------------------------
+# the packed tick's guarded partitions
+# ---------------------------------------------------------------------------
+def _quiet(rng, names, lanes, cycles):
+    """Per cycle, per lane, input values; at most one input changes."""
+    values = [{name: rng.randrange(256) for name in names}
+              for _ in range(lanes)]
+    for _ in range(cycles):
+        if rng.random() < 0.7:
+            name = rng.choice(names)
+            every = rng.random() < 0.5
+            for lane in range(lanes) if every else [rng.randrange(lanes)]:
+                values[lane][name] = rng.randrange(256)
+        yield [dict(lane) for lane in values]
+
+
+def _drive(packed, oracles, inputs):
+    """Poke one cycle's per-lane ``inputs`` into ``packed`` and ``oracles``."""
+    for name in inputs[0]:
+        packed.poke_lanes(name, [lane[name] for lane in inputs])
+        for sim, lane in zip(oracles, inputs):
+            sim.poke(name, lane[name])
+
+
+def _agree(packed, oracles, signals, where):
+    for sig in signals:
+        want = [sim.peek_int(sig) for sim in oracles]
+        assert packed.peek_lanes(sig) == want, (sig.name, where)
+
+
+@pytest.mark.parametrize("lanes", [1, LANES])
+@pytest.mark.parametrize("seed", range(6))
+def test_guarded_tick_matches_interp_through_quiet_stretches(seed, lanes):
+    net = RandomNetlist(seed)
+    packed = Simulator(net.netlist, engine="batch", lanes=lanes)
+    assert "if k != g0:" in packed.compiled_source
+    oracles = [Simulator(net.netlist, engine="interp") for _ in range(lanes)]
+    sims = [packed, *oracles]
+    names = [sig.name for sig in net.data + net.en]
+    rng = random.Random(seed)
+    for cycle, inputs in enumerate(_quiet(rng, names, lanes, 90)):
+        if cycle == 30:
+            for sim in sims:
+                sim.reset()
+        if cycle == 50:
+            reg, value = rng.choice(net.regs), rng.randrange(256)
+            for sim in sims:
+                sim.poke_register(reg, value)
+        if cycle == 70:
+            words = [rng.randrange(256) for _ in range(net.mem.depth)]
+            for sim in sims:
+                sim.write_memory(net.mem, words)
+        _drive(packed, oracles, inputs)
+        for sim in sims:
+            sim.step()
+        _agree(packed, oracles, net.watch, cycle)
+
+
+def _toggled_netlist():
+    """One register under ``en`` whose next value is a two-statement
+    partition of ``a`` and ``b``: ``s = a + b; s ^ (s >> 1)``."""
+    a, b, en, r = Signal("a", W), Signal("b", W), Signal("en", 1), Signal("r", W)
+    s = BinOp(K.ADD, Ref(a), Ref(b))
+    nxt = BinOp(K.XOR, s, BinOp(K.LSHR, s, Const(1, 3)))
+    return Netlist("toggled", [a, b, en], [], [],
+                   [FlatRegister(r, nxt, 5, Ref(en))])
+
+
+# (a, b, en) per cycle: each input alone changes, under a low enable and
+# under a high one; lane 1 sees the enable inverted.
+_ONE_AT_A_TIME = [(3, 4, 1), (3, 4, 0), (3, 4, 1), (9, 4, 0), (9, 4, 1),
+                  (9, 4, 1), (9, 11, 0), (9, 11, 1), (2, 11, 1), (2, 6, 1),
+                  (2, 6, 0), (7, 6, 0), (7, 6, 1), (7, 6, 1)]
+
+
+def _one_at_a_time(lanes):
+    for a, b, en in _ONE_AT_A_TIME:
+        yield [{"a": a, "b": b, "en": en ^ (lane == 1)}
+               for lane in range(lanes)]
+
+
+def test_constant_inputs_under_a_toggling_enable():
+    net = _toggled_netlist()
+    r = net.registers[0].signal
+    packed = Simulator(net, engine="batch", lanes=LANES)
+    # The partition is guarded inside the enable's block.
+    assert re.search(r"^    if e0:\n(?:        .*\n)*?        if k != g0:",
+                     _tick(packed.compiled_source), re.M)
+    oracles = [Simulator(net, engine="interp") for _ in range(LANES)]
+    for cycle, inputs in enumerate(_one_at_a_time(LANES)):
+        _drive(packed, oracles, inputs)
+        for sim in [packed, *oracles]:
+            sim.step()
+        _agree(packed, oracles, [r], cycle)
+
+
+def test_a_step_after_a_tick_that_raised_starts_afresh():
+    net = _toggled_netlist()
+    r = net.registers[0].signal
+    packed = Simulator(net, engine="batch", lanes=2)
+    oracles = [Simulator(net, engine="interp") for _ in range(2)]
+    _drive(packed, oracles, [{"a": 3, "b": 4, "en": 1}] * 2)
+    for sim in [packed, *oracles]:
+        sim.step()
+    # ``b`` feeds only the tick, so a bad value in its slot raises there,
+    # in the guarded partition's body, after the partition saved its guard.
+    packed.poke_slot(packed.slot("b"), "not a value")
+    with pytest.raises(TypeError):
+        packed.step()
+    assert packed.cycles == 1
+    for cycle, inputs in enumerate(_one_at_a_time(2)):
+        _drive(packed, oracles, inputs)
+        for sim in [packed, *oracles]:
+            sim.step()
+        _agree(packed, oracles, [r], cycle)
+
+
+def test_two_simulators_of_one_netlist_step_alternately():
+    net = RandomNetlist(3)
+    names = [sig.name for sig in net.data + net.en]
+    pairs = [(Simulator(net.netlist, engine="batch", lanes=LANES),
+              [Simulator(net.netlist, engine="interp") for _ in range(LANES)])
+             for _ in range(2)]
+    streams = [_quiet(random.Random(100 + i), names, LANES, 60)
+               for i in range(2)]
+    for cycle, both in enumerate(zip(*streams)):
+        for (packed, oracles), inputs in zip(pairs, both):
+            _drive(packed, oracles, inputs)
+            for sim in [packed, *oracles]:
+                sim.step()
+            _agree(packed, oracles, net.watch, cycle)
