@@ -177,6 +177,13 @@ print(f"elaborate.runs = {runs}, sim.compile.netlists = {compiles}")
 EOF
 echo "ok"
 
+echo "== golden smoke: table2 and fig1 equal the recorded outputs =="
+# The runs above only compare this tree with itself; perfbench/expected
+# holds the Table II and Fig. 1 text the reproduction is pinned to.
+cmp perfbench/expected/table2.txt "$tmp/t2_nocache.txt"
+cmp perfbench/expected/fig1.txt "$tmp/fresh.txt"
+echo "ok"
+
 echo "== serve smoke: live service vs CLI, batching, cache hits, drain =="
 python -m repro serve --port 0 --cache "$tmp/cache" \
     --warm verilog-initial --batch-wait-ms 50 > "$tmp/serve.out" &

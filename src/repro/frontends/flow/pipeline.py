@@ -25,7 +25,7 @@ from ...rtl.ir import (
     MemRead,
     Ref,
     Signal,
-    expr_children,
+    graph,
     with_children,
 )
 from ...synth.cost import node_cost
@@ -47,15 +47,6 @@ class PipelineResult:
     pipeline_ff_bits: int
     stage_node_counts: list[int] = field(default_factory=list)
     critical_path_ns: float = 0.0
-
-
-def _rebuild(expr: Expr, child_of: Callable[[Expr], Expr]) -> Expr:
-    """Clone one node with substituted children."""
-    if isinstance(expr, (Const, Ref)):
-        return expr
-    if isinstance(expr, MemRead):
-        raise FrontendError(f"cannot pipeline node {type(expr).__name__}")
-    return with_children(expr, [child_of(kid) for kid in expr_children(expr)])
 
 
 def pipeline_kernel(
@@ -94,57 +85,42 @@ def pipeline_kernel(
                               pipeline_ff_bits=0)
 
     # ------------------------------------------------------------------
-    # collect the DAG (unique nodes, children first)
+    # the DAG (unique nodes, operands first) and its arrival times
     # ------------------------------------------------------------------
-    ordered: list[Expr] = []
-    seen: set[int] = set()
-
-    def visit(node: Expr) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        for child in expr_children(node):
-            visit(child)
-        ordered.append(node)
-
-    for value in outputs.values():
-        visit(value.expr)
-
-    # Arrival times with the technology delay model.
-    arrival: dict[int, float] = {}
-    for node in ordered:
-        base = max((arrival[id(c)] for c in expr_children(node)), default=0.0)
-        arrival[id(node)] = base + node_cost(node, tech, allow_dsp=False).delay
-    critical = max((arrival[id(v.expr)] for v in outputs.values()), default=0.0)
+    dag = graph([value.expr for value in outputs.values()])
+    nodes, kids = dag.nodes, dag.kids
+    arrival: list[float] = []
+    for i, node in enumerate(nodes):
+        base = max([arrival[j] for j in kids[i]], default=0.0)
+        arrival.append(base + node_cost(node, tech, allow_dsp=False).delay)
+    critical = max((arrival[i] for i in dag.at), default=0.0)
     t_stage = critical / n_stages if critical > 0 else 1.0
 
     # Stage assignment: by arrival slice, monotone over the DAG.
-    stage: dict[int, int] = {}
-    for node in ordered:
-        by_time = min(n_stages - 1, int(arrival[id(node)] / (t_stage + 1e-12)))
-        by_children = max((stage[id(c)] for c in expr_children(node)), default=0)
-        stage[id(node)] = max(by_time, by_children)
+    stage: list[int] = []
+    for i in range(len(nodes)):
+        by_time = min(n_stages - 1, int(arrival[i] / (t_stage + 1e-12)))
+        stage.append(max([by_time] + [stage[j] for j in kids[i]]))
 
     # ------------------------------------------------------------------
     # re-materialize with boundary registers
     # ------------------------------------------------------------------
-    rebuilt: dict[int, Expr] = {}       # node id -> expr at the node's stage
-    chains: dict[int, list[Expr]] = {}  # node id -> delayed copies
+    rebuilt: list[Expr] = []            # node index -> expr at the node's stage
+    chains: dict[int, list[Expr]] = {}  # node index -> delayed copies
     ff_bits = 0
     reg_index = 0
 
-    def at_stage(node: Expr, want: int) -> Expr:
-        """The node's value delayed to stage ``want``."""
+    def at_stage(i: int, want: int) -> Expr:
+        """Node ``i``'s value delayed to stage ``want``."""
         nonlocal ff_bits, reg_index
-        if isinstance(node, Const):
-            return node  # constants are free at every stage
-        base_stage = stage.get(id(node), 0)
-        delay = want - base_stage
+        if isinstance(nodes[i], Const):
+            return nodes[i]  # constants are free at every stage
+        delay = want - stage[i]
         if delay == 0:
-            return rebuilt[id(node)]
-        chain = chains.setdefault(id(node), [])
+            return rebuilt[i]
+        chain = chains.setdefault(i, [])
         while len(chain) < delay:
-            prev = rebuilt[id(node)] if not chain else chain[-1]
+            prev = rebuilt[i] if not chain else chain[-1]
             reg = module.reg(f"p{reg_index}", prev.width, next=prev,
                              en=Ref(ce))  # type: ignore[arg-type]
             reg_index += 1
@@ -152,27 +128,28 @@ def pipeline_kernel(
             chain.append(Ref(reg))
         return chain[delay - 1]
 
-    for node in ordered:
+    for i, node in enumerate(nodes):
         if isinstance(node, (Const, Ref)):
-            rebuilt[id(node)] = node
-            continue
-        s = stage[id(node)]
-        rebuilt[id(node)] = _rebuild(node, lambda child: at_stage(child, s))
+            rebuilt.append(node)
+        elif isinstance(node, MemRead):
+            raise FrontendError(f"cannot pipeline node {type(node).__name__}")
+        else:
+            rebuilt.append(with_children(node, [at_stage(j, stage[i]) for j in kids[i]]))
 
     # Outputs are registered out of the final boundary: total latency is
     # exactly ``n_stages`` cycles for every path.
-    for oname, value in outputs.items():
+    for (oname, value), i in zip(outputs.items(), dag.at):
         port = module.output(oname, value.width)
-        final = at_stage(value.expr, n_stages - 1)
+        final = at_stage(i, n_stages - 1)
         out_reg = module.reg(f"oreg_{oname}", value.width, next=final,
                              en=Ref(ce))  # type: ignore[arg-type]
         ff_bits += value.width
         module.assign(port, Ref(out_reg))
 
     counts = [0] * n_stages
-    for node in ordered:
+    for i, node in enumerate(nodes):
         if not isinstance(node, (Const, Ref)):
-            counts[stage[id(node)]] += 1
+            counts[stage[i]] += 1
     return PipelineResult(
         module=module,
         n_stages=n_stages,

@@ -16,6 +16,7 @@ combinational loops.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from ..core.errors import CombinationalLoopError, DriverError, ElaborationError
@@ -34,8 +35,8 @@ from .ir import (
     Signal,
     Slice,
     UnOp,
-    distinct_nodes,
     expr_signals,
+    graph,
 )
 from .module import Instance, Memory, MemWrite, Module, Register
 
@@ -107,56 +108,50 @@ class Netlist:
                 raise DriverError(f"{self.name}: {reg.signal.name} driven more than once")
             drivers[reg.signal] = "register"
 
-        # One walk over the whole netlist: a node shared by several roots
-        # is checked under the first root that reaches it.
-        visited: set[int] = set()
-        def check_reads(expr: Expr, context: str) -> None:
-            for node in distinct_nodes(expr, visited):
-                if isinstance(node, Ref) and node.signal not in drivers:
-                    raise DriverError(
-                        f"{self.name}: {node.signal.name} read by {context} but never driven"
-                    )
-
-        for sig, expr in self.assigns:
-            check_reads(expr, f"assign {sig.name}")
-        for reg in self.registers:
-            check_reads(reg.next, f"register {reg.signal.name}")
-            if reg.en is not None:
-                check_reads(reg.en, f"register {reg.signal.name} enable")
         for mem in self.memories:
             if len(mem.writes) > mem.max_write_ports:
                 raise ElaborationError(
                     f"{self.name}: memory {mem.name} exceeds write port limit"
                 )
-            for write in mem.writes:
-                for expr in (write.en, write.addr, write.data):
-                    check_reads(expr, f"memory {mem.name} write")
+
+        # One graph of the whole netlist: a node shared by several roots
+        # is checked under the first root that reaches it.
+        dag = graph(self.roots())
+        for i, node in enumerate(dag.nodes):
+            if isinstance(node, Ref) and node.signal not in drivers:
+                root = self._root_name(bisect.bisect_right(dag.ends, i))
+                raise DriverError(
+                    f"{self.name}: {node.signal.name} read by {root} but never driven"
+                )
         for sig in self.outputs:
             if sig not in drivers:
                 raise DriverError(f"{self.name}: output {sig.name} is never driven")
-        self._check_mem_read_ports()
+        self._check_mem_read_ports(dag.nodes)
 
-    def _check_mem_read_ports(self) -> None:
+    def _root_name(self, k: int) -> str:
+        """What root ``k`` of :meth:`roots` drives, for error messages."""
+        names = [f"assign {sig.name}" for sig, _expr in self.assigns]
+        for reg in self.registers:
+            names.append(f"register {reg.signal.name}")
+            if reg.en is not None:
+                names.append(f"register {reg.signal.name} enable")
+        for mem in self.memories:
+            names.extend([f"memory {mem.name} write"] * (3 * len(mem.writes)))
+        return names[k]
+
+    def _check_mem_read_ports(self, nodes: list[Expr]) -> None:
         """Count distinct read addresses per memory against the port limit.
 
+        ``nodes`` is every node of the netlist, write ports included.
         Distinct :class:`MemRead` nodes with identical address expressions
         can share a physical port after CSE, so we count unique address
         *objects* — a conservative under-approximation that still catches
         the Bambu-style single-channel violations the tests exercise.
         """
         reads: dict[Memory, set[int]] = {}
-        visited: set[int] = set()
-        def scan(expr: Expr) -> None:
-            for node in distinct_nodes(expr, visited):
-                if isinstance(node, MemRead):
-                    reads.setdefault(node.memory, set()).add(id(node.addr))  # type: ignore[arg-type]
-
-        for _sig, expr in self.assigns:
-            scan(expr)
-        for reg in self.registers:
-            scan(reg.next)
-            if reg.en is not None:
-                scan(reg.en)
+        for node in nodes:
+            if isinstance(node, MemRead):
+                reads.setdefault(node.memory, set()).add(id(node.addr))  # type: ignore[arg-type]
         for mem, addrs in reads.items():
             if len(addrs) > mem.max_read_ports * 8:
                 # The factor of 8 reflects time-multiplexing headroom the

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ..core.bits import to_signed
 from ..core.errors import WidthError
@@ -45,7 +45,8 @@ __all__ = [
     "emit_py",
     "emit_py_node",
     "emit_operands",
-    "distinct_nodes",
+    "Graph",
+    "graph",
     "expr_children",
     "node_key",
     "with_children",
@@ -572,15 +573,18 @@ def _emit_binop(expr: BinOp, a: str, b: str) -> str:
 
 def expr_children(expr: Expr) -> tuple[Expr, ...]:
     """The direct operands of ``expr``, in evaluation order."""
-    if isinstance(expr, BinOp):
+    t = type(expr)
+    if t is Ref or t is Const:
+        return ()
+    if t is BinOp:
         return (expr.a, expr.b)
-    if isinstance(expr, (Slice, Ext, UnOp)):
+    if t is Slice or t is Ext or t is UnOp:
         return (expr.a,)
-    if isinstance(expr, Mux):
+    if t is Mux:
         return (expr.sel, expr.if_true, expr.if_false)
-    if isinstance(expr, Cat):
+    if t is Cat:
         return expr.parts
-    if isinstance(expr, MemRead):
+    if t is MemRead:
         return (expr.addr,)
     return ()
 
@@ -632,46 +636,79 @@ def with_children(expr: Expr, kids: Sequence[Expr]) -> Expr:
     raise TypeError(f"no operands to replace in {type(expr).__name__}")
 
 
-def distinct_nodes(expr: Expr, seen: set[int] | None = None):
-    """Yield each node *object* of the DAG under ``expr`` once, pre-order.
+class Graph(NamedTuple):
+    """The expression DAG under a list of roots, one entry per node object.
 
-    Frontends share subexpressions heavily, so a tree walk would cost the
-    number of paths; this one costs the number of distinct nodes.  Passing
-    one ``seen`` set (of node ids) across calls skips nodes already yielded
-    for earlier roots, making a whole-netlist pass linear too.
+    ``nodes`` holds each node object the roots reach once, operands first
+    (depth-first, roots in order, operands in :func:`expr_children`
+    order); ``kids[i]`` holds the indices of ``nodes[i]``'s operands, all
+    below ``i``.  ``at[k]`` is root ``k``'s index, and ``nodes[:ends[k]]``
+    is everything roots ``0..k`` reach.  Frontends share subexpressions
+    heavily, so a walk per path would cost the number of paths; this one
+    costs the number of distinct nodes.
     """
-    if seen is None:
-        seen = set()
+
+    nodes: list[Expr]
+    kids: list[tuple[int, ...]]
+    ends: list[int]
+    at: list[int]
+
+
+def graph(roots: Sequence[Expr]) -> Graph:
+    """The :class:`Graph` of everything ``roots`` reach."""
+    index: dict[int, int] = {}
+    nodes: list[Expr] = []
+    kids: list[tuple[int, ...]] = []
+    ends: list[int] = []
+    at: list[int] = []
+    for root in roots:
+        i = index.get(id(root))
+        at.append(_visit(root, index, nodes, kids) if i is None else i)
+        ends.append(len(nodes))
+    return Graph(nodes, kids, ends, at)
+
+
+def _visit(node: Expr, index: dict[int, int], nodes: list[Expr],
+           kids: list[tuple[int, ...]]) -> int:
+    """Append ``node`` after its operands not yet in ``index``; its index.
+
+    A module-level function, not a closure: a closure that calls itself
+    is a reference cycle, which would keep the walk's tables alive until
+    the next garbage collection.
+    """
+    operands = []
+    for child in expr_children(node):
+        i = index.get(id(child))
+        operands.append(_visit(child, index, nodes, kids) if i is None else i)
+    i = index[id(node)] = len(nodes)
+    nodes.append(node)
+    kids.append(tuple(operands))  # a leaf's is the shared ()
+    return i
+
+
+def expr_signals(expr: Expr) -> set[Signal]:
+    """Every signal ``expr`` reads (transitively).
+
+    It walks the DAG itself, each node object once, instead of building a
+    :func:`graph`: it needs no operand indices, and ``comb_order`` calls
+    it once per assign, where building them costs a third more.
+    """
+    out: set[Signal] = set()
+    seen: set[int] = set()
     stack = [expr]
     while stack:
         node = stack.pop()
-        key = id(node)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield node
-        stack.extend(reversed(expr_children(node)))
-
-
-def expr_signals(expr: Expr, out: set[Signal] | None = None) -> set[Signal]:
-    """Collect every signal read by ``expr`` (transitively)."""
-    if out is None:
-        out = set()
-    for node in distinct_nodes(expr):
-        if isinstance(node, Ref):
-            out.add(node.signal)
+        if id(node) not in seen:
+            seen.add(id(node))
+            if type(node) is Ref:
+                out.add(node.signal)
+            stack.extend(reversed(expr_children(node)))
     return out
 
 
-def expr_mem_reads(expr: Expr, out: list[MemRead] | None = None) -> list[MemRead]:
-    """Collect the distinct :class:`MemRead` nodes in ``expr`` (pre-order).
-
-    A node object reached along several paths is listed once.
-    """
-    if out is None:
-        out = []
-    out.extend(node for node in distinct_nodes(expr) if isinstance(node, MemRead))
-    return out
+def expr_mem_reads(expr: Expr) -> list[MemRead]:
+    """The distinct :class:`MemRead` nodes in ``expr``, operands first."""
+    return [node for node in graph([expr]).nodes if isinstance(node, MemRead)]
 
 
 def expr_size(expr: Expr) -> int:

@@ -90,8 +90,8 @@ from ..rtl.ir import (
     UnOpKind,
     _eval_binop,
     _eval_unop,
-    distinct_nodes,
     expr_children,
+    graph,
     to_signed,
     with_children,
 )
@@ -162,19 +162,19 @@ def _widths(netlist: Netlist) -> tuple[int, int]:
     """
     field = max([sig.width for sig in netlist.inputs + netlist.outputs]
                 + [mem.width for mem in netlist.memories], default=1)
-    seen: set[int] = set()
-    for mem in netlist.memories:
-        for write in mem.writes:
-            for root in (write.en, write.addr, write.data):
-                for node in distinct_nodes(root, seen):
-                    field = max(field, node.width)
+    writes = [root for mem in netlist.memories for write in mem.writes
+              for root in (write.en, write.addr, write.data)]
+    dag = graph(writes + netlist.roots())
+    n_writes = dag.ends[len(writes) - 1] if writes else 0
+    for node in dag.nodes[:n_writes]:
+        field = max(field, node.width)
     widest = field
-    for root in netlist.roots():
-        for node in distinct_nodes(root, seen):
-            widest = max(widest, node.width)
-            if not _moves_bits(node):
-                for child in (node, *expr_children(node)):
-                    field = max(field, child.width)
+    for i in range(n_writes, len(dag.nodes)):
+        node = dag.nodes[i]
+        widest = max(widest, node.width)
+        if not _moves_bits(node):
+            field = max(field, node.width,
+                        *(dag.nodes[j].width for j in dag.kids[i]))
     return field, widest
 
 

@@ -1,13 +1,16 @@
 """Netlist-level synthesis analysis: area accumulation and static timing.
 
-The analyzer walks every expression in the flat netlist exactly once per
+The analyzer costs the netlist's :func:`repro.rtl.ir.graph`, one entry per
 node *object* — a shared node is one physical circuit with fan-out, while
 two structurally identical but distinct objects are two circuits, matching
-synthesis without cross-boundary resource sharing.
+synthesis without cross-boundary resource sharing.  The graph lists the
+assigns in combinational order first, so static timing is one forward
+pass over it.
 
 DSP allocation mirrors the paper's ``maxdsp`` Vivado knob: variable
-multipliers are granted DSP slices biggest-first until the budget runs out;
-the rest fall back to fabric logic.  ``max_dsp=0`` reproduces the paper's
+multipliers are granted DSP slices biggest-first (between equal sizes,
+the first the graph reaches) until the budget runs out; the rest fall
+back to fabric logic.  ``max_dsp=0`` reproduces the paper's
 normalized-area measurement.
 """
 
@@ -20,7 +23,7 @@ from ..core.errors import SynthesisError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..rtl.elaborate import Netlist
-from ..rtl.ir import Expr, Ref, Signal, expr_children
+from ..rtl.ir import Ref, Signal, graph
 from ..rtl.module import Memory
 from .cost import is_dsp_candidate, mult_dsp_count, node_cost
 from .device import XCVU9P, Device
@@ -61,25 +64,6 @@ class SynthReport:
             f"{self.n_bram} BRAM, Tclk={self.t_clk_ns:.2f}ns "
             f"(fmax={self.fmax_mhz:.2f} MHz)"
         )
-
-
-def _collect_nodes(roots: list[Expr]) -> list[Expr]:
-    """Unique expression nodes (by object identity), children first."""
-    seen: set[int] = set()
-    ordered: list[Expr] = []
-
-    def visit(node: Expr) -> None:
-        key = id(node)
-        if key in seen:
-            return
-        seen.add(key)
-        for child in expr_children(node):
-            visit(child)
-        ordered.append(node)
-
-    for root in roots:
-        visit(root)
-    return ordered
 
 
 def _memory_area(mem: Memory, tech: Tech) -> tuple[float, int]:
@@ -127,10 +111,13 @@ def synthesize_pair(
 
 def _synthesize_traced(netlist, tech, device, settings, sp) -> list[SynthReport]:
     with obs_trace.span("synth.map", netlist=netlist.name) as map_span:
-        nodes = _collect_nodes(netlist.roots())
+        order = netlist.comb_order()
+        dag = graph([expr for _sig, expr in order]
+                    + netlist.roots()[len(netlist.assigns):])
+        nodes = dag.nodes
         fabric = [node_cost(node, tech, allow_dsp=False) for node in nodes]
-        mults = [node for node in nodes if is_dsp_candidate(node, tech)]
-        mults.sort(key=lambda n: (-(n.a.width * n.b.width), id(n)))
+        mults = [i for i, node in enumerate(nodes) if is_dsp_candidate(node, tech)]
+        mults.sort(key=lambda i: -(nodes[i].a.width * nodes[i].b.width))
         n_ff = sum(reg.signal.width for reg in netlist.registers)
         mem_areas = [_memory_area(mem, tech) for mem in netlist.memories]
         n_bram = sum(brams for _luts, brams in mem_areas)
@@ -139,12 +126,11 @@ def _synthesize_traced(netlist, tech, device, settings, sp) -> list[SynthReport]
         map_span.set(cells=len(nodes), dsp=mapped[0][2])
 
     with obs_trace.span("synth.sta", netlist=netlist.name) as sta_span:
-        order = netlist.comb_order()
-        timed = [_sta(netlist, order, costs, tech) for _luts, costs, _dsp in mapped]
+        timed = [_sta(netlist, order, dag, delays, tech) for _luts, delays, _dsp in mapped]
         sta_span.set(t_clk_ns=round(timed[0][0], 3))
 
     reports = []
-    for (luts, _costs, used_dsp), (t_clk, critical_name) in zip(mapped, timed):
+    for (luts, _delays, used_dsp), (t_clk, critical_name) in zip(mapped, timed):
         for mem_luts, _brams in mem_areas:
             luts += mem_luts
         n_lut = int(round(luts))
@@ -175,76 +161,74 @@ def _synthesize_traced(netlist, tech, device, settings, sp) -> list[SynthReport]
     return reports
 
 
-def _map(nodes, fabric, mults, tech, device, max_dsp) -> tuple[float, dict[int, float], int]:
+def _map(nodes, fabric, mults, tech, device, max_dsp) -> tuple[float, list[float], int]:
     """DSP allocation and area for one ``max_dsp`` setting.
 
     ``fabric`` holds each node's cost without DSPs; only the multipliers
     granted a DSP are re-costed.  Returns the logic LUTs (memories
     excluded), each node's delay, and the DSP slices used.  Variable
-    multipliers get DSPs biggest-first.
+    multipliers (``mults``, node indices) get DSPs biggest-first, and
+    between equal sizes the first one the graph reaches.
     """
     budget = device.n_dsp if max_dsp is None else min(max_dsp, device.n_dsp)
-    dsp_mapped: set[int] = set()
+    costs = list(fabric)
     used_dsp = 0
-    for node in mults:
-        need = mult_dsp_count(node, tech)
+    for i in mults:
+        need = mult_dsp_count(nodes[i], tech)
         if used_dsp + need <= budget:
-            dsp_mapped.add(id(node))
+            costs[i] = node_cost(nodes[i], tech, allow_dsp=True)
             used_dsp += need
     luts = 0.0
-    costs: dict[int, float] = {}
-    for node, cost in zip(nodes, fabric):
-        if id(node) in dsp_mapped:
-            cost = node_cost(node, tech, allow_dsp=True)
+    for cost in costs:
         luts += cost.luts
-        costs[id(node)] = cost.delay
-    return luts, costs, used_dsp
+    return luts, [cost.delay for cost in costs], used_dsp
 
 
-def _sta(netlist, order, costs, tech) -> tuple[float, str]:
-    """Static timing over the DAG: ``(t_clk_ns, critical endpoint)``."""
+def _sta(netlist, order, dag, delays, tech) -> tuple[float, str]:
+    """Static timing over the DAG: ``(t_clk_ns, critical endpoint)``.
+
+    ``dag`` is the graph of the assigns in ``order`` and then the other
+    roots, so one forward pass sees every signal's arrival before its
+    readers: a :class:`Ref` arrives with its signal, any other node
+    ``delays[i]`` after its latest operand.
+    """
     arrival_sig: dict[Signal, float] = {}
     for sig in netlist.inputs:
         arrival_sig[sig] = 0.0
     for reg in netlist.registers:
         arrival_sig[reg.signal] = tech.t_clk_to_q
 
-    arrival_node: dict[int, float] = {}
+    nodes, kids = dag.nodes, dag.kids
+    arrival = [0.0] * len(nodes)
+    start = 0
+    for k, end in enumerate(dag.ends):
+        for i in range(start, end):
+            node = nodes[i]
+            if isinstance(node, Ref):
+                arrival[i] = arrival_sig.get(node.signal, 0.0)
+            else:
+                arrival[i] = max([arrival[j] for j in kids[i]], default=0.0) + delays[i]
+        start = end
+        if k < len(order):
+            arrival_sig[order[k][0]] = arrival[dag.at[k]]
 
-    def arrival(node: Expr) -> float:
-        key = id(node)
-        cached = arrival_node.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(node, Ref):
-            value = arrival_sig.get(node.signal, 0.0)
-        else:
-            base = max((arrival(child) for child in expr_children(node)), default=0.0)
-            value = base + costs[key]
-        arrival_node[key] = value
-        return value
-
-    for sig, expr in order:
-        arrival_sig[sig] = arrival(expr)
-
+    # Endpoints: the roots after the assigns, in graph order, then outputs.
+    names = []
+    for reg in netlist.registers:
+        names.append(f"reg {reg.signal.name}")
+        if reg.en is not None:
+            names.append(f"reg {reg.signal.name} (en)")
+    for mem in netlist.memories:
+        names.extend([f"mem {mem.name} write"] * (3 * len(mem.writes)))
+    endpoints = [(arrival[i], name) for i, name in zip(dag.at[len(order):], names)]
+    endpoints += [(arrival_sig.get(sig, 0.0), f"output {sig.name}")
+                  for sig in netlist.outputs]
     critical = 0.0
     critical_name = ""
-    def consider(value: float, name: str) -> None:
-        nonlocal critical, critical_name
-        if value > critical:
-            critical = value
+    for value, name in endpoints:
+        if value + tech.t_setup > critical:
+            critical = value + tech.t_setup
             critical_name = name
-
-    for reg in netlist.registers:
-        consider(arrival(reg.next) + tech.t_setup, f"reg {reg.signal.name}")
-        if reg.en is not None:
-            consider(arrival(reg.en) + tech.t_setup, f"reg {reg.signal.name} (en)")
-    for mem in netlist.memories:
-        for write in mem.writes:
-            for expr in (write.en, write.addr, write.data):
-                consider(arrival(expr) + tech.t_setup, f"mem {mem.name} write")
-    for sig in netlist.outputs:
-        consider(arrival_sig.get(sig, 0.0) + tech.t_setup, f"output {sig.name}")
 
     return critical * tech.routing_factor + tech.clock_overhead, critical_name
 

@@ -6,9 +6,10 @@ product arrays for multipliers.  Constant multiplication is special-cased
 into a canonical-signed-digit shift-add tree — the dominant area term of a
 DSP-disabled IDCT, which the paper's normalized area metric relies on.
 
-Only the node itself is costed here; :mod:`repro.synth.analyze` walks the
-netlist DAG (shared nodes counted once, duplicated nodes counted per copy,
-like real synthesis without resource sharing) and accumulates totals.
+Only the node itself is costed here; :mod:`repro.synth.analyze` costs each
+entry of the netlist's :func:`repro.rtl.ir.graph` (shared nodes counted
+once, duplicated nodes counted per copy, like real synthesis without
+resource sharing) and accumulates totals.
 """
 
 from __future__ import annotations

@@ -204,6 +204,33 @@ class TestElaboration:
         with pytest.raises(DriverError):
             elaborate(m)
 
+    def test_undriven_read_is_reported_under_the_first_root(self):
+        # Assigns come before registers in ``Netlist.roots()``.
+        m = Module("m")
+        y = m.output("y", 4)
+        ghost = m.wire("ghost", 4)
+        m.reg("r", 4, next=ops.add(ghost, 2))
+        m.assign(y, ops.add(ghost, 1))
+        with pytest.raises(DriverError, match="ghost read by assign y but never driven"):
+            elaborate(m)
+
+    def test_write_port_reads_count_against_read_ports(self):
+        # A read-modify-write port: its data reads the memory at
+        # 8 * ports + 1 distinct addresses, one more than the limit.
+        from repro.rtl.ir import BinOp, BinOpKind, Const, MemRead
+
+        m = Module("m")
+        a = m.input("a", 4)
+        y = m.output("y", 4)
+        m.assign(y, Ref(a))
+        mem = m.memory("buf", 16, 8, max_read_ports=1)
+        data = MemRead(mem, Const(0, 4))
+        for addr in range(1, 9):
+            data = BinOp(BinOpKind.XOR, data, MemRead(mem, Const(addr, 4)))
+        m.mem_write(mem, 1, Ref(a), data)
+        with pytest.raises(ElaborationError, match="9 concurrent reads for 1 ports"):
+            elaborate(m)
+
     def test_register_without_next_rejected(self):
         m = Module("m")
         y = m.output("y", 4)

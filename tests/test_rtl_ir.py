@@ -22,8 +22,10 @@ from repro.rtl.ir import (
     UnOpKind,
     emit_py,
     eval_expr,
+    expr_children,
     expr_signals,
     expr_size,
+    graph,
 )
 
 
@@ -289,7 +291,7 @@ class TestStructuralQueries:
 # path explosion: structural passes must be linear in distinct nodes
 # ----------------------------------------------------------------------
 
-DIAMOND_DEPTH = 48  # 2**48 root-to-leaf paths, 2 * 48 + 4 distinct nodes
+DIAMOND_DEPTH = 48  # 2**48 root-to-leaf paths, 3 * 48 + 4 distinct nodes
 
 
 def _diamond(a, addr, mem, depth, share=True):
@@ -357,6 +359,8 @@ class TestPathExplosion:
         tree = _diamond(a, addr, mem, 3, share=False)
 
         assert self.timed(expr_signals, dag) == expr_signals(tree) == {a, addr}
+        n_nodes = len(self.timed(graph, [dag]).nodes)
+        assert n_nodes == 3 * DIAMOND_DEPTH + 4
         dag_reads = self.timed(expr_mem_reads, dag)
         tree_reads = expr_mem_reads(tree)
         assert len(dag_reads) == 1  # the one MemRead node, listed once
@@ -585,6 +589,33 @@ def test_eval_result_fits_width(tree, data):
     assert 0 <= value < 2**expr.width
 
 
+@given(random_tree(), st.data())
+def test_graph_lists_each_node_once_operands_first(tree, data):
+    """``graph`` over several roots that share nodes with each other."""
+    _module, expr, _inputs = tree
+    under = graph([expr]).nodes
+    picks = data.draw(st.lists(st.integers(0, len(under) - 1), max_size=4))
+    roots = [under[i] for i in picks] + [expr]
+    g = graph(roots)
+
+    assert len({id(node) for node in g.nodes}) == len(g.nodes)
+    for i, node in enumerate(g.nodes):
+        operands = [g.nodes[j] for j in g.kids[i]]
+        assert all(j < i for j in g.kids[i])
+        assert len(operands) == len(expr_children(node))
+        assert all(a is b for a, b in zip(operands, expr_children(node)))
+    assert len(g.at) == len(g.ends) == len(roots)
+    assert g.ends == sorted(g.ends) and g.ends[-1] == len(g.nodes)
+    for k, root in enumerate(roots):
+        assert g.nodes[g.at[k]] is root and g.at[k] < g.ends[k]
+        # The prefix is exactly what roots 0..k reach, in the same order.
+        prefix = graph(roots[:k + 1]).nodes
+        assert len(prefix) == g.ends[k]
+        assert all(a is b for a, b in zip(prefix, g.nodes))
+        reached = {id(node) for node in graph([root]).nodes}
+        assert reached <= {id(node) for node in g.nodes[:g.ends[k]]}
+
+
 @settings(max_examples=300, deadline=None)
 @given(random_tree(), st.data())
 def test_every_engine_and_lowering_agree_on_random_trees(tree, data):
@@ -621,11 +652,10 @@ def test_every_engine_agrees_when_a_wide_bus_carries_the_tree(tree, data):
     lanes where ``go`` is 1 (through a mux or a register enable).
     """
     from repro.rtl import elaborate
-    from repro.rtl.ir import distinct_nodes
     from repro.sim import Simulator
 
     module, expr, inputs = tree
-    top = max(node.width for node in distinct_nodes(expr))
+    top = max(node.width for node in graph([expr]).nodes)
     w = expr.width
     lo = data.draw(st.integers(0, top))
     hi = 3 * top + 1 - w + data.draw(st.integers(0, top))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.errors import SynthesisError
 from repro.rtl import Module, elaborate, ops
-from repro.rtl.ir import MemRead, Ref
+from repro.rtl.ir import MemRead, Ref, Signal
 from repro.synth import ULTRASCALE_PLUS, XCVU9P, Device, normalized_area, synthesize
 from repro.synth.cost import is_variable_mult, mult_dsp_count, node_cost
 
@@ -170,6 +170,49 @@ class TestSynthReports:
         # Budget covers only the big multiplier; the small one goes to LUTs.
         assert report.n_dsp == need_big
         assert report.n_lut > 0
+
+    def test_dsp_ties_break_by_graph_order(self):
+        # Three equal multipliers and DSPs for one: the first one the
+        # graph reaches (the first register's) gets it, whatever the
+        # nodes' addresses, so every fresh elaboration times the same.
+        def build():
+            m = Module("ties")
+            a, b = m.input("a", 16), m.input("b", 16)
+            y = m.output("y", 1)
+            for i in range(3):
+                m.reg(f"r{i}", 32, next=ops.mul(a, ops.add(b, i)))
+            m.assign(y, ops.const(0, 1))
+            return m
+
+        one = mult_dsp_count(ops.mul(Ref(Signal("a", 16)), Ref(Signal("b", 16))),
+                             ULTRASCALE_PLUS)
+        reports = [synth(build(), max_dsp=one) for _ in range(5)]
+        assert {r.n_dsp for r in reports} == {one}
+        assert {(r.t_clk_ns, tuple(r.critical_path)) for r in reports} == {
+            (reports[0].t_clk_ns, ("reg r1",))}
+
+    def test_sta_follows_drivers_not_assign_order(self):
+        # ``t`` is deep logic read by ``y``; listing y's assign before
+        # t's must not time y's read of t before t has arrived.
+        def build(reader_first):
+            m = Module("order")
+            a = m.input("a", 16)
+            y = m.output("y", 16)
+            t = m.wire("t", 16)
+            deep = ops.as_expr(a)
+            for _ in range(6):
+                deep = ops.trunc(ops.mul(deep, 2841), 16)
+            assigns = [(y, ops.add(t, 1)), (t, deep)]
+            for target, expr in assigns if reader_first else assigns[::-1]:
+                m.assign(target, expr)
+            return m
+
+        reader_first = elaborate(build(True))
+        assert [sig.name for sig, _expr in reader_first.assigns] == ["y", "t"]
+        report = synthesize(reader_first)
+        expected = synthesize(elaborate(build(False)))
+        assert report.t_clk_ns == expected.t_clk_ns
+        assert report.critical_path == expected.critical_path == ["output y"]
 
     def test_normalized_area_is_dsp_free(self):
         m = make_mult()
