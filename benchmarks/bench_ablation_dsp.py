@@ -6,7 +6,7 @@ measurements for each tool's optimized design and reports the DSP count
 and the LUT delta the normalization hides.
 """
 
-from repro.eval.experiments import PAIRS
+from repro.eval.experiments import PAIR_RECIPES
 from repro.rtl import elaborate
 from repro.synth import synthesize
 
@@ -16,7 +16,7 @@ def test_dsp_normalization(benchmark):
         rows = []
         for key in ("Verilog/Vivado", "Chisel/Chisel", "BSV/BSC",
                     "C/Vivado HLS"):
-            _initial, optimized = PAIRS[key]()
+            optimized = PAIR_RECIPES[key][1].build()
             netlist = elaborate(optimized.top)
             with_dsp = synthesize(netlist)
             no_dsp = synthesize(netlist, max_dsp=0)

@@ -7,7 +7,7 @@ The HLS-generated FSMs leave the most; the hand-written Verilog baseline
 the least.
 """
 
-from repro.eval.experiments import PAIRS
+from repro.eval.experiments import PAIR_RECIPES
 from repro.rtl import elaborate, optimize
 from repro.synth import synthesize
 
@@ -19,7 +19,7 @@ def test_optimize_ablation(benchmark):
     def run():
         rows = []
         for key in keys:
-            _initial, optimized_design = PAIRS[key]()
+            optimized_design = PAIR_RECIPES[key][1].build()
             netlist = elaborate(optimized_design.top)
             opt_netlist, stats = optimize(netlist)
             before = synthesize(netlist, max_dsp=0)

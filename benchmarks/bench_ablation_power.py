@@ -8,7 +8,7 @@ energy per operation (the figure of merit deep pipelines lose on).
 """
 
 from repro.axis import StreamHarness
-from repro.eval.experiments import PAIRS
+from repro.eval.experiments import PAIR_RECIPES
 from repro.eval.verify import random_matrices
 from repro.rtl import elaborate
 from repro.sim import Simulator
@@ -22,7 +22,7 @@ def test_power_ablation(benchmark):
         rows = []
         mats = random_matrices(3, seed=31)
         for key in keys:
-            _initial, design = PAIRS[key]()
+            design = PAIR_RECIPES[key][1].build()
             netlist = elaborate(design.top)
             sim = Simulator(netlist)
             harness = StreamHarness(sim, design.spec)

@@ -11,15 +11,13 @@ series' shape visible.
 
 import os
 
-from repro.eval.experiments import generate_fig1, render_fig1
+from repro.eval.experiments import fig1_sizes, generate_fig1, render_fig1
 
 FULL = os.environ.get("REPRO_FIG1_FULL", "0") == "1"
 
 
 def test_fig1(benchmark):
-    kwargs = (dict(bsc_configs=26, bambu_configs=42, xls_stages=18) if FULL
-              else dict(bsc_configs=4, bambu_configs=6, xls_stages=8))
-    series = benchmark.pedantic(generate_fig1, kwargs=kwargs,
+    series = benchmark.pedantic(generate_fig1, kwargs=fig1_sizes(FULL),
                                 rounds=1, iterations=1)
     print("\n" + render_fig1(series))
 

@@ -251,7 +251,7 @@ echo "ok"
 
 echo "== obs smoke: live /v1/jobs/<id>/events stream covers every design =="
 step python - "$addr" <<'EOF'
-import json, sys, urllib.request
+import json, sys, urllib.error, urllib.request
 
 base = "http://" + sys.argv[1]
 
@@ -297,6 +297,22 @@ with urllib.request.urlopen(
 assert replay == events, (len(replay), len(events))
 print(f"obs: {len(events)} events streamed, "
       f"{len(finished)} designs finished, replay identical")
+
+# A sweep size outside the figure is a 400, and no job is created.
+def job_ids():
+    with urllib.request.urlopen(base + "/v1/jobs", timeout=60) as resp:
+        return [job["id"] for job in json.load(resp)["jobs"]]
+
+before = job_ids()
+bad = urllib.request.Request(base + "/v1/jobs", data=json.dumps(
+    {"kind": "fig1", "params": {"bsc_configs": -1}}).encode())
+try:
+    urllib.request.urlopen(bad, timeout=60)
+    raise AssertionError("bsc_configs=-1 was accepted")
+except urllib.error.HTTPError as exc:
+    assert exc.code == 400, exc.code
+assert job_ids() == before, (before, job_ids())
+print("obs: bsc_configs=-1 answered 400, no job created")
 EOF
 kill -TERM "$serve_pid"
 wait "$serve_pid"

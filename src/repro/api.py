@@ -46,6 +46,7 @@ from .engines import (
     render_engines_json,
     resolve_engine,
 )
+from .eval.experiments import UnknownToolError
 from .eval.measure import Measured, measure_design
 from .frontends.base import Design, Recipe
 from .resilience.checkpoint import Checkpoint
@@ -60,7 +61,6 @@ __all__ = [
     "resolve_design",
     "resolve_recipe",
     "find_recipe",
-    "find_design",
     "design_names",
     "canonical_name",
     "UsageError",
@@ -112,16 +112,6 @@ class UnknownDesignError(UsageError):
         self.suggestions = suggestions or []
 
 
-class UnknownToolError(UsageError):
-    """No Table II column matches the requested tool key."""
-
-    def __init__(self, message: str, *, name: str,
-                 suggestions: list[str] | None = None) -> None:
-        super().__init__(message, design=name, phase="api.resolve")
-        self.name = name
-        self.suggestions = suggestions or []
-
-
 def canonical_name(name: str) -> str:
     """Map a possibly-aliased design name to its canonical spelling.
 
@@ -142,18 +132,6 @@ def find_recipe(name: str) -> Recipe | None:
     from .eval.experiments import RECIPES
 
     return RECIPES.get(canonical_name(name))
-
-
-def find_design(name: str):
-    """Build the design registered as ``name`` (alias-aware).
-
-    Returns ``(design, factory)`` so callers can rebuild it (e.g. under
-    tracing), or ``(None, None)`` when the name is unknown.
-    """
-    recipe = find_recipe(name)
-    if recipe is None:
-        return None, None
-    return recipe.build(), recipe.build
 
 
 def design_names() -> list[str]:
@@ -496,20 +474,10 @@ class Session:
     # ------------------------------------------------------------------
     def table2(self, tools: list[str] | None = None):
         """Regenerate Table II under this session's policy."""
-        from .eval.experiments import PAIRS, generate_table2
-
-        if tools:
-            unknown = [key for key in tools if key not in PAIRS]
-            if unknown:
-                close = difflib.get_close_matches(unknown[0], list(PAIRS),
-                                                  n=3, cutoff=0.4)
-                hint = f"; did you mean {', '.join(close)}?" if close else ""
-                raise UnknownToolError(
-                    f"unknown tool key {unknown[0]!r}{hint} "
-                    f"(choices: {', '.join(PAIRS)})",
-                    name=unknown[0], suggestions=close)
+        from .eval.experiments import generate_table2, table2_keys
         from .obs import trace as obs_trace
 
+        table2_keys(tools)  # a bad request fails before any work starts
         with self._activated(), obs_trace.span("sweep.table2",
                                                jobs=self.jobs):
             from .exec import table2_tasks
@@ -522,26 +490,19 @@ class Session:
     def fig1(self, full: bool = False, *, bsc_configs: int | None = None,
              bambu_configs: int | None = None, xls_stages: int | None = None):
         """Regenerate the Figure 1 DSE sweeps under this session's policy."""
-        from .eval.experiments import fig1_design_lists, generate_fig1
-
-        defaults = (26, 42, 18) if full else (4, 6, 8)
-        sizes = {
-            "bsc_configs": defaults[0] if bsc_configs is None else bsc_configs,
-            "bambu_configs": (defaults[1] if bambu_configs is None
-                              else bambu_configs),
-            "xls_stages": defaults[2] if xls_stages is None else xls_stages,
-        }
+        from .eval.experiments import (fig1_design_lists, fig1_sizes,
+                                       generate_fig1)
         from .obs import trace as obs_trace
 
+        sizes = fig1_sizes(full, bsc_configs=bsc_configs,
+                           bambu_configs=bambu_configs, xls_stages=xls_stages)
         with self._activated(), obs_trace.span("sweep.fig1", jobs=self.jobs,
                                                full=full):
-            if (self.jobs > 1 or self.fabric) \
-                    and self._fixed_runner is None:
+            lists = fig1_design_lists(**sizes)
+            tasks = None
+            if self.jobs > 1 or self.fabric:
                 from .exec import fig1_tasks
 
-                lists = fig1_design_lists(**sizes)
-                runner = self._sweep_runner(fig1_tasks(lists, sizes))
-                return generate_fig1(**sizes, runner=runner,
-                                     design_lists=lists)
-            runner = self._sweep_runner(None)
-            return generate_fig1(**sizes, runner=runner)
+                tasks = fig1_tasks(lists, sizes)
+            return generate_fig1(runner=self._sweep_runner(tasks),
+                                 design_lists=lists)

@@ -151,7 +151,8 @@ class EvaluationError(ReproError):
 
 
 class UsageError(EvaluationError):
-    """A user-supplied name was not recognized (CLI exit code 2).
+    """A user-supplied name or parameter was not recognized (CLI exit
+    code 2, HTTP 400).
 
     Lives here (rather than :mod:`repro.api`, which re-exports it) so
     that leaf modules like the engine registry can raise it without

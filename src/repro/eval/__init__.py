@@ -2,7 +2,6 @@
 
 from .experiments import (
     Fig1Series,
-    PAIRS,
     TOOL_TABLE,
     Table2,
     ToolColumn,
@@ -42,7 +41,6 @@ __all__ = [
     "fig1_design_lists",
     "generate_fig1",
     "render_fig1",
-    "PAIRS",
     "table2_markdown",
     "write_markdown_report",
 ]

@@ -21,12 +21,13 @@ budget limits.
 
 from __future__ import annotations
 
+import difflib
 import functools
 import importlib
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..core.errors import EvaluationError, ReproError
+from ..core.errors import EvaluationError, ReproError, UsageError
 from ..frontends.base import Design, Recipe
 from ..obs import trace as obs_trace
 from .loc import delta_loc
@@ -41,8 +42,11 @@ __all__ = [
     "Table2",
     "Fig1Series",
     "PAIR_RECIPES",
-    "PAIRS",
     "RECIPES",
+    "SweepParameterError",
+    "UnknownToolError",
+    "table2_keys",
+    "fig1_sizes",
     "fig1_design_lists",
     "generate_fig1",
     "render_table1",
@@ -120,11 +124,20 @@ def _bambu_point(index: int) -> Design:
     return bambu_design(bambu_sweep()[index], f"sweep{index}")
 
 
-#: The order of :func:`repro.frontends.rules.bsc_sweep` (26 points) and the
-#: length of :func:`repro.frontends.chls.bambu_sweep`.
+#: The paper's 26 BSC configurations (options and code attributes):
+#: 13 urgency permutations x 2 conflict analyses, applied to the optimized
+#: design.  The paper found the settings have "a negligible impact on the
+#: performance and area", which this sweep reproduces.
 _BSC_SWEEP = [(mode, seed) for mode in ("exact", "pessimistic")
               for seed in range(13)]
-_BAMBU_SWEEP = 42
+
+#: Figure 1's sweep sizes: the paper's full figure and the quick default.
+#: A request may ask for 0 up to the full size of each: BSC and Bambu
+#: points (42 is the length of :func:`repro.frontends.chls.bambu_sweep`),
+#: and the largest XLS stage count.
+_FIG1_FULL = {"bsc_configs": len(_BSC_SWEEP), "bambu_configs": 42,
+              "xls_stages": 18}
+_FIG1_QUICK = {"bsc_configs": 4, "bambu_configs": 6, "xls_stages": 8}
 
 #: Table II's ``(initial, optimized)`` recipe per tool column.
 PAIR_RECIPES: dict[str, tuple[Recipe, Recipe]] = {
@@ -162,14 +175,64 @@ RECIPES: dict[str, Recipe] = {recipe.name: recipe
                               for recipe in pair}
 
 
-def _build_pair(key: str) -> tuple[Design, Design]:
-    initial, optimized = PAIR_RECIPES[key]
-    return initial.build(), optimized.build()
+class SweepParameterError(UsageError):
+    """A sweep size, ``full`` flag or tool list the registry rejects."""
 
 
-#: Table II's pair builders: ``PAIRS[key]()`` builds both designs.
-PAIRS: dict[str, Callable[[], tuple[Design, Design]]] = {
-    key: functools.partial(_build_pair, key) for key in PAIR_RECIPES}
+class UnknownToolError(SweepParameterError):
+    """No Table II column matches the requested tool key."""
+
+    def __init__(self, message: str, *, name: str,
+                 suggestions: list[str] | None = None) -> None:
+        super().__init__(message, design=name, phase="api.resolve")
+        self.name = name
+        self.suggestions = suggestions or []
+
+
+def table2_keys(tools: list[str] | None = None) -> list[str]:
+    """Table II's column keys in order: the Verilog/Vivado baseline, which
+    every derived metric normalizes against, then ``tools`` (every column
+    when ``None`` or empty).
+
+    Raises :class:`SweepParameterError` unless ``tools`` is a list of
+    known keys, :class:`UnknownToolError` (with near misses) for a key
+    that is not one.
+    """
+    if tools is not None and not isinstance(tools, (list, tuple)):
+        raise SweepParameterError(
+            f"tools must be a list of tool keys, not {tools!r}")
+    for key in tools or ():
+        if isinstance(key, str) and key in PAIR_RECIPES:
+            continue
+        close = difflib.get_close_matches(str(key), list(PAIR_RECIPES),
+                                          n=3, cutoff=0.4)
+        hint = f"; did you mean {', '.join(close)}?" if close else ""
+        raise UnknownToolError(
+            f"unknown tool key {key!r}{hint} "
+            f"(choices: {', '.join(PAIR_RECIPES)})",
+            name=str(key), suggestions=close)
+    return list(dict.fromkeys(["Verilog/Vivado", *(tools or PAIR_RECIPES)]))
+
+
+def fig1_sizes(full: bool = False, **sizes: int | None) -> dict[str, int]:
+    """The checked Figure 1 sizes a request asks for.
+
+    A size left out or ``None`` takes the full or quick default, as
+    ``full`` says.  Raises :class:`SweepParameterError` unless ``full`` is
+    a bool and each size an int (not a bool) from 0 to its full size.
+    """
+    if not isinstance(full, bool):
+        raise SweepParameterError(f"full must be true or false, not {full!r}")
+    checked = dict(_FIG1_FULL if full else _FIG1_QUICK)
+    for name, n in sizes.items():
+        if n is None:
+            continue
+        top = _FIG1_FULL[name]
+        if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= top:
+            raise SweepParameterError(
+                f"{name} must be an integer from 0 to {top}, not {n!r}")
+        checked[name] = n
+    return checked
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +286,7 @@ def _measure_column(key: str, runner) -> ToolColumn:
     from ..resilience.errors import failure_record
 
     try:
-        initial, optimized = PAIRS[key]()
+        initial, optimized = (recipe.build() for recipe in PAIR_RECIPES[key])
     except ReproError as exc:
         record = failure_record(exc, design=key, phase="frontend.build")
         obs_trace.event("table2.column_failed", column=key,
@@ -256,11 +319,8 @@ def generate_table2(tools: list[str] | None = None, runner=None) -> Table2:
 
     if runner is None:
         runner = SweepRunner()
-    keys = tools or list(PAIRS)
-    if "Verilog/Vivado" not in keys:
-        keys = ["Verilog/Vivado"] + keys
     table = Table2()
-    for key in keys:
+    for key in table2_keys(tools):
         table.columns[key] = _measure_column(key, runner)
     baseline = table.columns["Verilog/Vivado"]
     if baseline.failed:
@@ -358,17 +418,20 @@ class Fig1Series:
 
 
 def fig1_design_lists(
-    bsc_configs: int = 26,
-    bambu_configs: int = 42,
-    xls_stages: int = 18,
+    bsc_configs: int = _FIG1_FULL["bsc_configs"],
+    bambu_configs: int = _FIG1_FULL["bambu_configs"],
+    xls_stages: int = _FIG1_FULL["xls_stages"],
 ) -> list[tuple[str, list[Recipe]]]:
     """The ordered ``(tool, recipes)`` structure behind Figure 1.
 
-    Nothing is built here.  This enumeration is the unit of work the
-    sharded executor (:mod:`repro.exec`) distributes: every process
-    derives the identical structure from the same sizes, so a
-    ``(tool, index)`` pair addresses the same design point everywhere.
+    Nothing is built here, and :func:`fig1_sizes` checks the sizes.
+    This enumeration is the unit of work the sharded executor
+    (:mod:`repro.exec`) distributes: every process derives the identical
+    structure from the same sizes, so a ``(tool, index)`` pair addresses
+    the same design point everywhere.
     """
+    sizes = fig1_sizes(True, bsc_configs=bsc_configs,
+                       bambu_configs=bambu_configs, xls_stages=xls_stages)
     verilog = PAIR_RECIPES["Verilog/Vivado"]
     return [
         ("Vivado", [verilog[0],
@@ -380,22 +443,22 @@ def fig1_design_lists(
             Recipe(f"bsv-opt-sweep-{mode}-{seed}", "BSC",
                    f"sweep-{mode}-{seed}",
                    functools.partial(_bsc_point, mode, seed))
-            for mode, seed in _BSC_SWEEP[:bsc_configs]]),
+            for mode, seed in _BSC_SWEEP[:sizes["bsc_configs"]]]),
         ("XLS", [_recipe(f"xls-s{n}", "XLS", f"stages-{n}" if n else "initial",
                          "flow", "xls_design", n)
-                 for n in range(xls_stages + 1)]),
+                 for n in range(sizes["xls_stages"] + 1)]),
         ("MaxCompiler", list(PAIR_RECIPES["MaxJ/MaxCompiler"])),
         ("Bambu", [Recipe(f"bambu-sweep{i}", "Bambu", f"sweep{i}",
                           functools.partial(_bambu_point, i))
-                   for i in range(min(bambu_configs, _BAMBU_SWEEP))]),
+                   for i in range(sizes["bambu_configs"])]),
         ("Vivado HLS", list(PAIR_RECIPES["C/Vivado HLS"])),
     ]
 
 
 def generate_fig1(
-    bsc_configs: int = 26,
-    bambu_configs: int = 42,
-    xls_stages: int = 18,
+    bsc_configs: int = _FIG1_FULL["bsc_configs"],
+    bambu_configs: int = _FIG1_FULL["bambu_configs"],
+    xls_stages: int = _FIG1_FULL["xls_stages"],
     runner=None,
     design_lists: list[tuple[str, list[Recipe]]] | None = None,
 ) -> list[Fig1Series]:

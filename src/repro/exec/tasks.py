@@ -34,7 +34,7 @@ class SweepTask:
     """Coordinates of one design point in a sweep enumeration."""
 
     kind: str            # "table2" | "fig1"
-    key: str             # PAIRS key, or the Fig. 1 tool name
+    key: str             # PAIR_RECIPES key, or the Fig. 1 tool name
     index: int           # 0=initial / 1=optimized, or the point index
     sizes: tuple = ()    # sorted (name, value) pairs for fig1_design_lists
     ctx: tuple = ()      # (trace_id, parent_span_id) when tracing, else ()
@@ -82,13 +82,10 @@ class SweepTask:
 
 def table2_tasks(tools: list[str] | None = None) -> list[SweepTask]:
     """One task per Table II design point, in generation order."""
-    from ..eval.experiments import PAIR_RECIPES
+    from ..eval.experiments import table2_keys
 
-    keys = list(tools) if tools else list(PAIR_RECIPES)
-    if "Verilog/Vivado" not in keys:
-        keys = ["Verilog/Vivado"] + keys
     return [SweepTask("table2", key, index)
-            for key in keys for index in (0, 1)]
+            for key in table2_keys(tools) for index in (0, 1)]
 
 
 def fig1_tasks(design_lists: list[tuple[str, list]],

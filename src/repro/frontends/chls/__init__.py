@@ -6,7 +6,6 @@ from .lexer import tokenize
 from .parser import parse, parse_pragma
 from .tools import (
     BambuConfig,
-    all_designs,
     bambu_design,
     bambu_initial,
     bambu_opt,
@@ -38,5 +37,4 @@ __all__ = [
     "vivado_design",
     "vivado_initial",
     "vivado_opt",
-    "all_designs",
 ]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 from ...core.errors import HlsError, ScheduleError
 from ...rtl import Module, ops
-from ...rtl.ir import Expr, MemRead, Ref, Signal
+from ...rtl.ir import Const, Expr, MemRead, Ref, Signal, expr_children
 from ...rtl.module import Memory
 from ...synth.cost import node_cost
 from ...synth.tech import ULTRASCALE_PLUS, Tech
@@ -141,7 +141,6 @@ class Compiler:
         # allocation and alias a stale arrival, making schedules depend on
         # heap history.
         self._arrival: dict[int, tuple[Expr, float]] = {}
-        self._loads_this_cycle = 0
         self._stores_this_cycle: list[tuple[_MemArray, Expr, Expr]] = []
         self._cur_gate: Expr | None = None
         self._read_ports: dict[str, list[list[tuple[int, Expr]]]] = {}
@@ -172,13 +171,11 @@ class Compiler:
             self._record_store(state.index, mem_arr, addr, data)
         self._chain.clear()
         self._stores_this_cycle = []
-        self._loads_this_cycle = 0
         self._cur_gate = None
         return state
 
     def _cycle_in_use(self) -> bool:
-        return bool(self._chain) or bool(self._stores_this_cycle) \
-            or self._loads_this_cycle > 0
+        return bool(self._chain) or bool(self._stores_this_cycle)
 
     # -- variables -------------------------------------------------------
     def _declare_var(self, name: str, width: int) -> Signal:
@@ -207,25 +204,15 @@ class Compiler:
         cached = self._arrival.get(key)
         if cached is not None:
             return cached[1]
-        from ...rtl.ir import BinOp, Cat, Const, Ext, Mux, Slice, UnOp
-
         if isinstance(expr, Const):
             value = 0.0
         elif isinstance(expr, Ref):
             value = 0.1
-        elif isinstance(expr, MemRead):
-            value = self._node_arrival(expr.addr) + node_cost(expr, self.tech).delay
         else:
-            children: tuple[Expr, ...] = ()
-            if isinstance(expr, BinOp):
-                children = (expr.a, expr.b)
-            elif isinstance(expr, (UnOp, Slice, Ext)):
-                children = (expr.a,)
-            elif isinstance(expr, Mux):
-                children = (expr.sel, expr.if_true, expr.if_false)
-            elif isinstance(expr, Cat):
-                children = expr.parts
-            base = max((self._node_arrival(c) for c in children), default=0.0)
+            # A MemRead's cost does not depend on allow_dsp: only
+            # multipliers map to DSPs.
+            base = max(map(self._node_arrival, expr_children(expr)),
+                       default=0.0)
             value = base + node_cost(expr, self.tech, allow_dsp=False).delay
         self._arrival[key] = (expr, value)
         return value
@@ -268,10 +255,6 @@ class Compiler:
                 INT_W,
             )
         # Memory-mapped: allocate a read port slot for this cycle.
-        if self._loads_this_cycle >= self.options.mem_read_ports * len(
-            [a for a in self._arrays.values() if isinstance(a, _MemArray)]
-        ):
-            pass  # per-array limit enforced below
         idx = self._eval(index)
         slot = self._alloc_read_port(array, idx)
         wire = self._read_wires[(array.name, slot)]

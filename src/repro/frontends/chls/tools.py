@@ -39,7 +39,6 @@ __all__ = [
     "bambu_opt",
     "vivado_initial",
     "vivado_opt",
-    "all_designs",
 ]
 
 ROWS, COLS, IN_W, OUT_W = 8, 8, 12, 9
@@ -54,28 +53,6 @@ def load_source(name: str) -> str:
     )
 
 
-def _collect_function_pragmas(source: str, top: str) -> tuple[frozenset, frozenset, bool]:
-    """Extract partition/axis settings and function PIPELINE from ``top``."""
-    program = parse(source)
-    function = program.functions[top]
-    partition = set()
-    axis = set()
-    fn_pipeline = False
-    for pragma in function.pragmas:
-        if pragma.directive == "ARRAY_PARTITION":
-            variable = pragma.settings.get("variable")
-            if variable:
-                partition.add(variable)
-        elif pragma.directive == "INTERFACE":
-            if "axis" in pragma.settings:
-                port = pragma.settings.get("port")
-                if port:
-                    axis.add(port)
-        elif pragma.directive == "PIPELINE":
-            fn_pipeline = True
-    return frozenset(partition), frozenset(axis), fn_pipeline
-
-
 def _spec() -> KernelSpec:
     return KernelSpec(style=KernelStyle.COMB_MATRIX, rows=ROWS, cols=COLS,
                       in_width=IN_W, out_width=OUT_W)
@@ -84,7 +61,11 @@ def _spec() -> KernelSpec:
 def _compile(source: str, options: HlsOptions, inline_all: bool,
              name: str) -> HlsResult:
     program = parse(source)
-    partition, _axis, _fp = _collect_function_pragmas(source, "idct")
+    partition = frozenset(
+        pragma.settings["variable"]
+        for pragma in program.functions["idct"].pragmas
+        if pragma.directive == "ARRAY_PARTITION"
+        and pragma.settings.get("variable"))
     options = replace(options, partition_arrays=partition)
     flat, _regions = inline_program(program, "idct", inline_all=inline_all)
     return build_axis_top(flat, options, name=name)
@@ -225,7 +206,3 @@ def vivado_initial() -> Design:
 def vivado_opt() -> Design:
     """The pragma-annotated source (INLINE + ARRAY_PARTITION + PIPELINE)."""
     return vivado_design("idct_opt.c", "opt")
-
-
-def all_designs() -> list[Design]:
-    return [bambu_initial(), bambu_opt(), vivado_initial(), vivado_opt()]

@@ -1,6 +1,6 @@
 """DSLX/XLS-like functional dataflow frontend with automatic pipelining."""
 
-from .designs import all_designs, build_kernel, xls_design, xls_initial, xls_sweep
+from .designs import build_kernel, xls_design, xls_initial
 from .kernel import idct_kernel
 from .pipeline import PipelineResult, pipeline_kernel
 
@@ -11,6 +11,4 @@ __all__ = [
     "build_kernel",
     "xls_design",
     "xls_initial",
-    "xls_sweep",
-    "all_designs",
 ]

@@ -2,9 +2,10 @@
 
 The paper synthesized 19 implementations with XLS by varying (a) the
 circuit type (combinational or pipelined) and (b) the number of pipeline
-stages.  ``xls_sweep()`` reproduces exactly that: the combinational
-circuit plus stages 1..18, each behind the same hand-crafted row-by-row
-AXI-Stream adapter.
+stages.  ``xls_design(n)`` builds one of them: the combinational circuit
+(``n = 0``) or ``n`` stages, each behind the same hand-crafted row-by-row
+AXI-Stream adapter.  The registry (:mod:`repro.eval.experiments`) names
+the sweep's points, stages 0..18.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from ..base import Design, SourceArtifact, source_of, traced_build
 from .kernel import COLS, IN_W, OUT_W, ROWS, idct_kernel
 from .pipeline import PipelineResult, pipeline_kernel
 
-__all__ = ["build_kernel", "xls_design", "xls_initial", "xls_sweep", "all_designs"]
-
-MAX_STAGES = 18
+__all__ = ["build_kernel", "xls_design", "xls_initial"]
 
 
 def build_kernel(n_stages: int) -> PipelineResult:
@@ -81,12 +80,3 @@ def xls_design(n_stages: int, config: str | None = None) -> Design:
 def xls_initial() -> Design:
     """The paper's initial XLS design: the combinational circuit."""
     return xls_design(0, config="initial")
-
-
-def xls_sweep() -> list[Design]:
-    """All 19 XLS implementations: combinational plus 1..18 stages."""
-    return [xls_design(n) for n in range(0, MAX_STAGES + 1)]
-
-
-def all_designs() -> list[Design]:
-    return [xls_initial(), xls_design(8)]

@@ -1,6 +1,6 @@
 """Chisel-like hardware-construction frontend."""
 
-from .designs import all_designs, build_initial_kernel, build_opt_kernel, chisel_initial, chisel_opt
+from .designs import build_initial_kernel, build_opt_kernel, chisel_initial, chisel_opt
 from .dsl import HcModule, Sig, lit, mux, select, transpose
 from .idct import idct_col_hc, idct_row_hc
 
@@ -17,5 +17,4 @@ __all__ = [
     "build_opt_kernel",
     "chisel_initial",
     "chisel_opt",
-    "all_designs",
 ]

@@ -20,7 +20,6 @@ __all__ = [
     "build_opt_kernel",
     "chisel_initial",
     "chisel_opt",
-    "all_designs",
 ]
 
 ROWS, COLS, IN_W, OUT_W = 8, 8, 12, 9
@@ -194,7 +193,3 @@ def chisel_opt() -> Design:
         spec=spec,
         sources=_sources(build_opt_kernel),
     )
-
-
-def all_designs() -> list[Design]:
-    return [chisel_initial(), chisel_opt()]

@@ -1,6 +1,6 @@
 """MaxJ-like dataflow frontend with a PCIe system manager model."""
 
-from .designs import all_designs, build_matrix_kernel, build_row_kernel, maxj_initial, maxj_opt
+from .designs import build_matrix_kernel, build_row_kernel, maxj_initial, maxj_opt
 from .harness import run_matrix_kernel, run_row_kernel, verify_maxj
 from .lang import MaxKernel, MaxVal
 from .lib import transpose_8x8
@@ -21,5 +21,4 @@ __all__ = [
     "run_matrix_kernel",
     "run_row_kernel",
     "verify_maxj",
-    "all_designs",
 ]

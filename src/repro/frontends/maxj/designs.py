@@ -23,7 +23,6 @@ __all__ = [
     "build_row_kernel",
     "maxj_initial",
     "maxj_opt",
-    "all_designs",
 ]
 
 ROWS, COLS, IN_W, OUT_W = 8, 8, 12, 9
@@ -169,7 +168,3 @@ def maxj_opt() -> Design:
         "link": PCIE3_X16,
     }
     return design
-
-
-def all_designs() -> list[Design]:
-    return [maxj_initial(), maxj_opt()]

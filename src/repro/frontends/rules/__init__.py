@@ -1,6 +1,6 @@
 """BSV-like rule-based frontend (guarded atomic actions + scheduler)."""
 
-from .designs import all_designs, bsc_sweep, bsv_initial, bsv_opt
+from .designs import bsv_initial, bsv_opt
 from .engine import Rule, RulesModule, Schedule, SchedulerOptions
 
 __all__ = [
@@ -10,6 +10,4 @@ __all__ = [
     "SchedulerOptions",
     "bsv_initial",
     "bsv_opt",
-    "bsc_sweep",
-    "all_designs",
 ]

@@ -30,8 +30,6 @@ __all__ = [
     "build_opt_system",
     "bsv_initial",
     "bsv_opt",
-    "bsc_sweep",
-    "all_designs",
 ]
 
 ROWS, COLS, IN_W, OUT_W = 8, 8, 12, 9
@@ -305,22 +303,3 @@ def bsv_opt(options: SchedulerOptions | None = None, config: str = "opt") -> Des
     )
     design.meta["schedule"] = schedule
     return design
-
-
-def bsc_sweep() -> list[Design]:
-    """The paper's 26 BSC configurations (options and code attributes).
-
-    13 urgency permutations x 2 conflict analyses, applied to the
-    optimized design — the paper found the settings have "a negligible
-    impact on the performance and area", which this sweep reproduces.
-    """
-    designs = []
-    for mode in ("exact", "pessimistic"):
-        for seed in range(13):
-            options = SchedulerOptions(urgency_seed=seed, conflict_mode=mode)
-            designs.append(bsv_opt(options, config=f"sweep-{mode}-{seed}"))
-    return designs
-
-
-def all_designs() -> list[Design]:
-    return [bsv_initial(), bsv_opt()]

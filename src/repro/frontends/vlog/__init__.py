@@ -1,7 +1,6 @@
 """Verilog-baseline frontend (the paper's hand-written reference flow)."""
 
 from .designs import (
-    all_designs,
     build_initial_kernel,
     build_opt1_kernel,
     build_opt_kernel,
@@ -20,5 +19,4 @@ __all__ = [
     "verilog_initial",
     "verilog_opt1",
     "verilog_opt",
-    "all_designs",
 ]

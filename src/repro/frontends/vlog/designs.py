@@ -26,7 +26,6 @@ __all__ = [
     "verilog_initial",
     "verilog_opt1",
     "verilog_opt",
-    "all_designs",
 ]
 
 ROWS, COLS = 8, 8
@@ -372,8 +371,3 @@ def verilog_opt() -> Design:
         spec=spec,
         sources=_sources(build_opt_kernel, adapter=True),
     )
-
-
-def all_designs() -> list[Design]:
-    """Every Verilog-baseline design point (for the DSE figure)."""
-    return [verilog_initial(), verilog_opt1(), verilog_opt()]

@@ -204,6 +204,13 @@ class JobManager:
             raise UnknownJobKind(
                 f"unknown {kind} parameter {unknown[0]!r} "
                 f"(choices: {', '.join(sorted(allowed))})")
+        # A bad value is a UsageError (400) before any job is journaled.
+        from ..eval.experiments import fig1_sizes, table2_keys
+
+        if kind == "table2":
+            table2_keys(params.get("tools"))
+        else:
+            fig1_sizes(**params)
         tenant = tenant or self.keyring.default
         with self._cv:
             waiting = sum(1 for job in self._jobs.values()

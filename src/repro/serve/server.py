@@ -83,7 +83,8 @@ from dataclasses import dataclass, field
 
 from .. import obs
 from ..core import jsonl
-from ..core.errors import BudgetExceeded, EvaluationError, WorkerCrashError
+from ..core.errors import (BudgetExceeded, EvaluationError, UsageError,
+                           WorkerCrashError)
 from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
@@ -664,7 +665,7 @@ class EvalServer:
             measured = await self._in_compute(
                 self.session.verify, name, engine=engine)
         except EvaluationError as exc:
-            if isinstance(exc, BudgetExceeded) or _is_usage(exc):
+            if isinstance(exc, (BudgetExceeded, UsageError)):
                 return self._compute_error(exc)
             return json_response({"design": name, "bit_exact": False,
                                   "error": str(exc)}, status=422)
@@ -714,7 +715,7 @@ class EvalServer:
             job = self.jobs.submit(kind, payload.get("params"),
                                    tenant=getattr(request, "tenant", None),
                                    priority=priority)
-        except UnknownJobKind as exc:
+        except (UnknownJobKind, UsageError) as exc:
             return error_response(str(exc), 400)
         except JobQueueFull as exc:
             return _retry_later(error_response(str(exc), 429),
@@ -935,7 +936,7 @@ class EvalServer:
                                  design=design, phase="serve.request")
 
     def _compute_error(self, exc: BaseException) -> Response:
-        if _is_usage(exc) or isinstance(exc, ValueError):
+        if isinstance(exc, (UsageError, ValueError)):
             return error_response(str(exc), 400)
         if isinstance(exc, BudgetExceeded):
             return error_response(f"request budget exhausted: {exc}", 504)
@@ -974,9 +975,3 @@ def _retry_later(response: Response, seconds: int = 1) -> Response:
     """Stamp a computed ``Retry-After`` on an admission-control 429."""
     response.headers["Retry-After"] = str(max(1, int(seconds)))
     return response
-
-
-def _is_usage(exc: BaseException) -> bool:
-    from ..api import UsageError
-
-    return isinstance(exc, UsageError)

@@ -12,7 +12,6 @@ from repro.api import (
     UsageError,
     canonical_name,
     design_names,
-    find_design,
     resolve_design,
 )
 from repro.cli import main
@@ -50,11 +49,6 @@ class TestResolveDesign:
     def test_canonical_name_is_purely_syntactic(self):
         assert canonical_name("vlog-whatever") == "verilog-whatever"
         assert canonical_name("unrelated") == "unrelated"
-
-    def test_find_design_returns_pair_or_nones(self):
-        design, factory = find_design("hc-opt")
-        assert design.name == "chisel-opt" and callable(factory)
-        assert find_design("nope") == (None, None)
 
     def test_design_names_covers_registry(self):
         names = design_names()

@@ -175,10 +175,10 @@ class TestMeasureDiskCache:
         # Two "cold-process" measurements (in-memory cache cleared between)
         # against the same disk cache: the second must be a pure disk hit
         # and produce an identical result.
-        from repro.api import find_design
+        from repro.api import find_recipe
         from repro.eval.measure import clear_measure_cache, measure_design
 
-        design, _ = find_design("verilog-initial")
+        design = find_recipe("verilog-initial").build()
         cache = ArtifactCache(tmp_path / "c")
         clear_measure_cache()
         with activate(cache):
@@ -194,10 +194,10 @@ class TestMeasureDiskCache:
         assert second.to_dict() == first.to_dict()
 
     def test_parameter_change_misses(self, tmp_path):
-        from repro.api import find_design
+        from repro.api import find_recipe
         from repro.eval.measure import clear_measure_cache, measure_design
 
-        design, _ = find_design("verilog-initial")
+        design = find_recipe("verilog-initial").build()
         cache = ArtifactCache(tmp_path / "c")
         clear_measure_cache()
         with activate(cache):
@@ -211,10 +211,10 @@ class TestMeasureDiskCache:
         assert cache.stats["misses"] >= 2  # both cold measured lookups
 
     def test_use_cache_false_bypasses_disk(self, tmp_path):
-        from repro.api import find_design
+        from repro.api import find_recipe
         from repro.eval.measure import clear_measure_cache, measure_design
 
-        design, _ = find_design("verilog-initial")
+        design = find_recipe("verilog-initial").build()
         cache = ArtifactCache(tmp_path / "c")
         clear_measure_cache()
         with activate(cache):
@@ -225,10 +225,10 @@ class TestMeasureDiskCache:
         assert not measured_dir.exists() or not list(measured_dir.rglob("*.json"))
 
     def test_cached_payload_is_json_on_disk(self, tmp_path):
-        from repro.api import find_design
+        from repro.api import find_recipe
         from repro.eval.measure import clear_measure_cache, measure_design
 
-        design, _ = find_design("verilog-initial")
+        design = find_recipe("verilog-initial").build()
         cache = ArtifactCache(tmp_path / "c")
         clear_measure_cache()
         with activate(cache):

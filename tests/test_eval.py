@@ -13,7 +13,7 @@ from repro.eval import (
     render_table1,
     render_table2,
 )
-from repro.eval.experiments import PAIRS, generate_fig1, render_fig1
+from repro.eval.experiments import PAIR_RECIPES, generate_fig1, render_fig1
 from repro.frontends.base import Design, SourceArtifact
 
 
@@ -138,8 +138,8 @@ class TestOneNetlistPerPoint:
         from repro.rtl import elaborate
         from repro.synth import synthesize, synthesize_pair
 
-        for key, build in PAIRS.items():
-            for design in build():
+        for key, recipes in PAIR_RECIPES.items():
+            for design in (recipe.build() for recipe in recipes):
                 netlist = elaborate(design.top)
                 pair = synthesize_pair(netlist)
                 single = (synthesize(netlist), synthesize(netlist, max_dsp=0))
@@ -173,7 +173,7 @@ class TestTable2:
         return generate_table2()
 
     def test_all_seven_tools_present(self, table):
-        assert set(table.columns) == set(PAIRS)
+        assert set(table.columns) == set(PAIR_RECIPES)
 
     def test_verilog_is_the_baseline(self, table):
         verilog = table.column("Verilog/Vivado")

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import FrontendError
+from repro.eval.experiments import fig1_design_lists
 from repro.eval.verify import verify_design
-from repro.frontends.flow import build_kernel, pipeline_kernel, xls_design, xls_sweep
+from repro.frontends.flow import build_kernel, pipeline_kernel, xls_design
 from repro.frontends.hc.dsl import Sig
 from repro.rtl import elaborate
 from repro.sim import Simulator
@@ -128,7 +129,9 @@ class TestXlsDesigns:
         assert result.periodicity == 8  # adapter-bound, as the paper notes
 
     def test_sweep_has_19_points(self):
-        designs = xls_sweep()
+        recipes = dict(fig1_design_lists(bsc_configs=0, bambu_configs=0,
+                                         xls_stages=18))["XLS"]
+        designs = [recipe.build() for recipe in recipes]
         assert len(designs) == 19
         stages = sorted(d.meta["pipeline"].n_stages for d in designs)
         assert stages == list(range(19))

@@ -10,6 +10,8 @@ from repro import obs
 from repro.api import (
     Session,
     UnknownDesignError,
+    UnknownToolError,
+    UsageError,
     design_names,
     find_recipe,
     resolve_design,
@@ -62,12 +64,15 @@ class TestRecipesNameTheirDesigns:
 
     def test_full_fig1_enumeration(self):
         from repro.frontends.chls import bambu_sweep
-        from repro.frontends.rules import bsc_sweep
 
         lists = dict(fig1_design_lists(bsc_configs=26, bambu_configs=42,
                                        xls_stages=18))
+        # 13 urgency permutations x 2 conflict analyses, exact first.
         assert [r.name for r in lists["BSC"][2:]] == [
-            d.name for d in bsc_sweep()]
+            f"bsv-opt-sweep-{mode}-{seed}"
+            for mode in ("exact", "pessimistic") for seed in range(13)]
+        assert lists["BSC"][2].name == "bsv-opt-sweep-exact-0"
+        assert lists["BSC"][-1].name == "bsv-opt-sweep-pessimistic-12"
         assert len(lists["Bambu"]) == len(bambu_sweep()) == 42
         assert len(lists["XLS"]) == 19
         assert sum(map(len, lists.values())) == 98
@@ -113,6 +118,7 @@ class TestResolutionBuildsNothing:
         obs.enable()
         assert resolve_design("flow-opt") == "xls-s8"
         assert find_recipe("hc-opt").name == "chisel-opt"
+        assert find_recipe("nope") is None
         assert len(design_names()) == 14
         with pytest.raises(UnknownDesignError):
             resolve_design("chisle-opt")
@@ -131,6 +137,58 @@ class TestResolutionBuildsNothing:
         with pytest.raises(UnknownDesignError) as info:
             resolve_design(name)
         assert info.value.suggestions == suggestions
+
+
+class TestSweepParameters:
+    """The registry bounds every sweep request before any work starts."""
+
+    def test_fig1_rejects_a_negative_size_before_building(self):
+        obs.enable()
+        with pytest.raises(UsageError, match="bsc_configs"):
+            Session().fig1(bsc_configs=-1)
+        assert _count("frontend.build") == 0
+
+    @pytest.mark.parametrize("sizes", [
+        dict(bambu_configs=43), dict(bsc_configs=27), dict(xls_stages=19),
+        dict(bambu_configs=-2), dict(xls_stages=-3), dict(bsc_configs=True),
+        dict(xls_stages="many"), dict(bambu_configs=2.0),
+    ])
+    def test_design_lists_reject_sizes_outside_the_figure(self, sizes):
+        with pytest.raises(UsageError):
+            fig1_design_lists(**sizes)
+
+    def test_size_table_bounds_and_defaults(self):
+        from repro.eval.experiments import fig1_sizes
+
+        full = dict(bsc_configs=26, bambu_configs=42, xls_stages=18)
+        assert fig1_sizes(True) == full
+        assert fig1_sizes() == dict(bsc_configs=4, bambu_configs=6,
+                                    xls_stages=8)
+        assert fig1_sizes(**full) == full
+        assert fig1_sizes(True, bsc_configs=0, xls_stages=None) == dict(
+            full, bsc_configs=0)
+        lists = dict(fig1_design_lists(bsc_configs=0, bambu_configs=0,
+                                       xls_stages=0))
+        assert (len(lists["BSC"]), len(lists["Bambu"]),
+                len(lists["XLS"])) == (2, 0, 1)
+        for full_flag in ("no", 1, None):
+            with pytest.raises(UsageError, match="full"):
+                fig1_sizes(full_flag)
+
+    def test_table2_keys_put_the_baseline_first(self):
+        from repro.eval.experiments import table2_keys
+
+        assert table2_keys(None) == list(PAIR_RECIPES)
+        assert table2_keys([]) == list(PAIR_RECIPES)
+        assert table2_keys(["C/Bambu", "Verilog/Vivado", "C/Bambu"]) == [
+            "Verilog/Vivado", "C/Bambu"]
+        with pytest.raises(UsageError, match="list"):
+            table2_keys("Chisel/Chisel")
+        with pytest.raises(UnknownToolError) as info:
+            table2_keys(["Chisel/Chisle"])
+        assert info.value.suggestions == ["Chisel/Chisel"]
+        with pytest.raises(UnknownToolError):
+            table2_keys([["Chisel/Chisel"]])
 
 
 class TestEvaluatorWarmStart:

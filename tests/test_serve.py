@@ -539,6 +539,22 @@ class TestLiveServer:
         assert job["status"] == "done", job.get("error")
         assert "Verilog/Vivado" in job["output"]
 
+    def test_bad_sweep_parameters_are_400_and_queue_nothing(self, live,
+                                                             tmp_path):
+        journal = tmp_path / "jobs.jsonl"
+        server = live(batch_wait_s=0.0, job_journal=str(journal))
+        for body in (
+            {"kind": "fig1", "params": {"bsc_configs": -1}},
+            {"kind": "fig1", "params": {"xls_stages": "many"}},
+            {"kind": "fig1", "params": {"full": "no"}},
+            {"kind": "table2", "params": {"tools": "Chisel/Chisel"}},
+        ):
+            status, reply = server.request("POST", "/v1/jobs", body)
+            assert status == 400, (body, reply)
+        status, listing = server.request("GET", "/v1/jobs")
+        assert status == 200 and json.loads(listing)["jobs"] == []
+        assert not journal.exists() or b"submitted" not in journal.read_bytes()
+
     def test_draining_server_refuses_new_compute(self, live, session):
         server = live(batch_wait_s=0.0)
         # flip the drain flag directly (the async drain task only runs on
