@@ -18,6 +18,9 @@ echo "== cli smoke (table1) =="
 step python -m repro table1 > /dev/null
 echo "ok"
 
+echo "== dead code: no unused import or unreferenced def in src/ =="
+step python scripts/check_unused.py
+
 echo "== disabled-overhead guard =="
 step python -m pytest -q tests/test_obs.py -k disabled
 

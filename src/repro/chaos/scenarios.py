@@ -206,29 +206,17 @@ def _serve_flaky(seed: int, jobs: int) -> int:
     return _report("serve-flaky", violations)
 
 
-def _serve_kill(seed: int, jobs: int) -> int:
-    import http.client
-    import json
-    import random
-    import socket
+def _start_server(session, **config):
+    """Start an ``EvalServer`` on an ephemeral port in a daemon thread.
+
+    Returns ``(server, thread, port)``; ``port`` is ``None`` when the
+    server did not announce one within two minutes.
+    """
     import threading
 
-    from ..api import Session
     from ..serve import EvalServer, ServeConfig
 
-    design = "verilog-initial"
-    rng = random.Random(seed)
-    requests = [
-        [[[rng.randint(-512, 511) for _ in range(8)] for _ in range(8)]]
-        for _ in range(12)
-    ]
-    golden = {idx: Session().idct(design, blocks)
-              for idx, blocks in enumerate(requests)}
-
-    session = Session(chaos=ChaosPolicy(seed=seed, kill=0.5))
-    server = EvalServer(session, ServeConfig(
-        port=0, workers=max(2, jobs), warm=(design,),
-        batch_wait_s=0.0, obs=True))
+    server = EvalServer(session, ServeConfig(port=0, **config))
     ready = threading.Event()
     port: list[int] = []
 
@@ -240,14 +228,38 @@ def _serve_kill(seed: int, jobs: int) -> int:
         target=server.serve_forever, kwargs={"announce": announce},
         daemon=True)
     thread.start()
+    return server, thread, port[0] if ready.wait(timeout=120) else None
+
+
+def _serve_kill(seed: int, jobs: int) -> int:
+    import http.client
+    import json
+    import random
+    import socket
+
+    from ..api import Session
+
+    design = "verilog-initial"
+    rng = random.Random(seed)
+    requests = [
+        [[[rng.randint(-512, 511) for _ in range(8)] for _ in range(8)]]
+        for _ in range(12)
+    ]
+    golden = {idx: Session().idct(design, blocks)
+              for idx, blocks in enumerate(requests)}
+
+    session = Session(chaos=ChaosPolicy(seed=seed, kill=0.5))
+    server, thread, port = _start_server(
+        session, workers=max(2, jobs), warm=(design,), batch_wait_s=0.0,
+        obs=True)
     violations: list[str] = []
-    if not ready.wait(timeout=120):
+    if port is None:
         return _report("serve-kill", ["server never came up"])
 
     ok = 0
     explicit = 0
     for idx, blocks in enumerate(requests):
-        conn = http.client.HTTPConnection("127.0.0.1", port[0], timeout=120)
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
         try:
             conn.request("POST", "/v1/idct",
                          body=json.dumps({"design": design,
@@ -299,30 +311,17 @@ def _fabric_kill(seed: int, jobs: int) -> int:
     clean serial run — quarantine would be an invariant violation here.
     """
     import multiprocessing
-    import threading
 
     from ..api import Session
     from ..core.errors import WorkerCrashError
     from ..fabric import run_worker_fleet
-    from ..serve import EvalServer, ServeConfig
 
     clean = _fig1_text(Session(jobs=1))
 
-    server = EvalServer(Session(), ServeConfig(port=0, fabric_lease_s=1.0))
-    ready = threading.Event()
-    port: list[int] = []
-
-    def announce(host: str, bound: int) -> None:
-        port.append(bound)
-        ready.set()
-
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"announce": announce},
-        daemon=True)
-    thread.start()
-    if not ready.wait(timeout=120):
+    server, thread, port = _start_server(Session(), fabric_lease_s=1.0)
+    if port is None:
         return _report("fabric-kill", ["fabric master never came up"])
-    master = f"127.0.0.1:{port[0]}"
+    master = f"127.0.0.1:{port}"
 
     # Non-daemon on purpose: the fleet forks its own worker children.
     mp = multiprocessing.get_context("fork")

@@ -27,11 +27,14 @@ Commands:
   [--workers N] [--worker-deadline-s S] [--worker-crash-budget K]
   [--api-keys FILE] [--quota N] [--rate R] [--burst B] [--weight W]``
   — run the asyncio evaluation service (``/v1/idct`` micro-batching,
-  admission control, ``/healthz`` + ``/metrics``); ``--workers N`` (N>1)
-  pre-forks N evaluator processes with (design, engine)-affinity routing
-  under the heartbeat → soft cancel → SIGTERM → SIGKILL → respawn
-  supervision ladder; SIGTERM drains in-flight work and exits 0, ^C
-  drains and exits 3; the same instance doubles as the fabric master
+  admission control, ``/healthz`` + ``/metrics``; the endpoints are the
+  rows of the one route table, ``EvalServer.ROUTES``); ``--workers N``
+  (N>1) pre-forks N evaluator processes with (design, engine)-affinity
+  routing under the heartbeat → soft cancel → SIGTERM → SIGKILL →
+  respawn supervision ladder (its grace and ping periods are
+  ``PoolConfig``'s defaults, the job retention ``JobManager``'s);
+  SIGTERM drains in-flight work and exits 0, ^C drains and exits 3;
+  the same instance doubles as the fabric master
   (``POST /v1/sweeps`` + task leases, ``--fabric-lease-s`` sets the
   lease deadline);
 * ``work --master URL [--parallel N] [--batch B] [--cache DIR]
@@ -591,6 +594,7 @@ def _cmd_list(_args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .chaos.scenarios import SCENARIOS
     from .engines import engine_names
 
     parser = argparse.ArgumentParser(
@@ -805,10 +809,7 @@ def main(argv: list[str] | None = None) -> int:
     p_chaos = sub.add_parser(
         "chaos", help="run a chaos drill asserting the honest-failure "
                       "invariant")
-    p_chaos.add_argument("scenario",
-                         choices=("worker-kill", "cache-rot", "serve-flaky",
-                                  "serve-kill", "fabric-kill", "qos-storm",
-                                  "all"))
+    p_chaos.add_argument("scenario", choices=(*SCENARIOS, "all"))
     p_chaos.add_argument("--seed", type=int, default=3,
                          help="chaos policy seed (default 3)")
     p_chaos.add_argument("--jobs", type=int, default=2,

@@ -31,7 +31,7 @@ from ..core.errors import EvaluationError, ReproError, UsageError
 from ..frontends.base import Design, Recipe
 from ..obs import trace as obs_trace
 from .loc import delta_loc
-from .measure import Measured, measure_design
+from .measure import Measured
 
 __all__ = [
     "ToolEntry",

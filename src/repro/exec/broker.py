@@ -36,7 +36,7 @@ tier journals it and counts it in the ``fabric.*`` obs series).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..qos import WeightedFairQueue
 from ..resilience.supervise import (

@@ -22,8 +22,7 @@ FSM + datapath module:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ...core.errors import HlsError, ScheduleError
 from ...rtl import Module, ops
@@ -31,8 +30,6 @@ from ...rtl.ir import Const, Expr, MemRead, Ref, Signal, expr_children
 from ...rtl.module import Memory
 from ...synth.cost import node_cost
 from ...synth.tech import ULTRASCALE_PLUS, Tech
-from ..flow.pipeline import pipeline_kernel
-from ..hc.dsl import Sig
 from .cast import (
     AssignStmt,
     BinExpr,
@@ -51,7 +48,7 @@ from .cast import (
     UnExpr,
     VarExpr,
 )
-from .transform import RegionMarker, const_value, fold_expr, substitute_expr, unroll_loop
+from .transform import RegionMarker, const_value, fold_expr, unroll_loop
 
 __all__ = ["HlsOptions", "HlsResult", "Compiler"]
 
@@ -573,14 +570,6 @@ class Compiler:
     # ==================================================================
     # finalize
     # ==================================================================
-    def finalize_entry_exit(self, loop_forever: bool) -> None:
-        """Close the trailing cycle; loop back to state 0 or halt."""
-        if loop_forever:
-            self._close(_Transition("goto", 0))
-        else:
-            final = self._close(_Transition("done"))
-            final.transition.target = final.index
-
     def build_fsm(self) -> None:
         """Generate the state register, write-back muxes, and port muxes."""
         n = len(self._states)

@@ -17,8 +17,8 @@ from __future__ import annotations
 from ...core.errors import HlsError
 from ...obs import metrics as obs_metrics
 from ...obs import trace as obs_trace
-from ...rtl import Module, ops
-from ...rtl.ir import Expr, Ref
+from ...rtl import ops
+from ...rtl.ir import Ref
 from .cast import Function
 from .compiler import Compiler, HlsOptions, HlsResult, INT_W, SHORT_W, _Transition
 

@@ -26,7 +26,7 @@ from ...axis.spec import KernelSpec, KernelStyle
 from ..base import Design, SourceArtifact, traced_build
 from .compiler import HlsOptions, HlsResult
 from .interface import build_axis_top
-from .parser import parse, parse_pragma
+from .parser import parse
 from .transform import inline_program
 
 __all__ = [

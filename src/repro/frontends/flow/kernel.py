@@ -10,7 +10,7 @@ widths changed to 12-bit inputs / 9-bit outputs.
 from __future__ import annotations
 
 from ...idct.constants import W1, W2, W3, W5, W6, W7
-from ..hc.dsl import Sig, mux
+from ..hc.dsl import Sig
 
 __all__ = ["idct_kernel", "ROWS", "COLS", "IN_W", "OUT_W"]
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ...core.errors import FrontendError
-from ...rtl import Module, ops
+from ...rtl import Module
 from ...rtl.ir import (
     Const,
     Expr,

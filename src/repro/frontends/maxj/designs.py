@@ -16,7 +16,7 @@ from ...idct.constants import W1, W2, W3, W5, W6, W7
 from ..base import Design, SourceArtifact, source_of, traced_build
 from .lang import MaxKernel, MaxVal
 from .lib import transpose_8x8
-from .manager import PCIE3_X16, system_throughput
+from .manager import PCIE3_X16
 
 __all__ = [
     "build_matrix_kernel",

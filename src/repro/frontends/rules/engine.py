@@ -67,12 +67,6 @@ class Rule:
             return set()
         return expr_signals(self.guard)
 
-    def read_signals(self) -> set[Signal]:
-        reads: set[Signal] = set(self.guard_reads())
-        for _sig, expr in self.writes:
-            reads |= expr_signals(expr)
-        return reads
-
 
 @dataclass
 class Schedule:

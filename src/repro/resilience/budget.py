@@ -81,12 +81,6 @@ class Budget:
                 limit_s=self.wall_s, cycles=self.cycles,
             )
 
-    @property
-    def remaining_cycles(self) -> int | None:
-        if self.max_cycles is None:
-            return None
-        return max(0, self.max_cycles - self.cycles)
-
 
 def active() -> Budget | None:
     """The budget currently armed for this thread, if any."""

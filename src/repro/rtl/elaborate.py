@@ -38,7 +38,7 @@ from .ir import (
     expr_signals,
     graph,
 )
-from .module import Instance, Memory, MemWrite, Module, Register
+from .module import Memory, MemWrite, Module
 
 __all__ = ["Netlist", "FlatRegister", "elaborate", "substitute"]
 

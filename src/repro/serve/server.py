@@ -1,40 +1,10 @@
 """The asyncio evaluation server: routing, admission control, lifecycle.
 
 :class:`EvalServer` binds a :class:`~repro.api.Session` to a TCP port and
-exposes the pipeline as JSON-over-HTTP endpoints:
-
-====== ==================== ===========================================
-method path                 purpose
-====== ==================== ===========================================
-POST   ``/v1/idct``         evaluate 8×8 blocks against a named design,
-                            micro-batched across concurrent requests
-GET    ``/v1/engines``      the engine registry listing; byte-identical
-                            to ``python -m repro engines --json``
-POST   ``/v1/verify``       fresh compliance verification of one design
-POST   ``/v1/measure``      full characterization; body is byte-identical
-                            to ``python -m repro measure <d> --json``
-POST   ``/v1/jobs``         start an async ``table2``/``fig1`` sweep
-GET    ``/v1/jobs``         list retained jobs (journal-recovered too)
-GET    ``/v1/jobs/<id>``    poll a sweep job
-GET    ``/v1/jobs/<id>/events``  chunked NDJSON stream of the job's
-                            structured events: replay first, then live
-                            per-cell events until the job is terminal
-GET    ``/v1/traces/<id>``  the assembled span tree for one trace id
-POST   ``/v1/sweeps``       submit a distributed sweep (wire-form tasks)
-                            to the fabric broker
-GET    ``/v1/sweeps/<id>``  fabric sweep status (``/results`` once done)
-POST   ``/v1/tasks/lease``  pull-worker lease: up to N runnable tasks,
-                            each with a ``fabric_lease_s`` deadline
-POST   ``/v1/tasks/<id>/heartbeat``  extend a live lease mid-run
-POST   ``/v1/tasks/<id>/result``     upload a task's record + obs
-                            buffers + artifact manifest (stale → 409)
-GET    ``/v1/artifacts/<key>``  fetch a content-addressed blob
-PUT    ``/v1/artifacts/<key>``  upload one; bytes must hash to ``key``
-                            or the upload is rejected and quarantined
-GET    ``/healthz``         liveness + drain state + fabric lease block
-GET    ``/metrics``         live obs snapshot, Prometheus text format
-                            (with per-design/per-engine label series)
-====== ==================== ===========================================
+exposes the pipeline as JSON-over-HTTP endpoints.  :attr:`EvalServer.ROUTES`
+lists them, once: each row pairs a path (exact, or an id prefix written
+``<id>``) with the methods it answers and their handlers, and a wrong
+method answers **405** naming the row's methods.
 
 Requests may carry a W3C ``traceparent`` header; the server parses it
 into a :class:`~repro.obs.trace.TraceContext`, stamps the request's
@@ -47,8 +17,10 @@ Three policies wrap the endpoints:
   coalesce through :class:`~repro.serve.batcher.MicroBatcher` into
   single vectorized evaluations (window: ``max_batch`` blocks or
   ``batch_wait_s`` seconds, whichever closes first);
-* **admission control** — at most ``max_inflight`` compute requests are
-  admitted; past that the server answers **429** immediately (the
+* **admission control** — one gate (:meth:`EvalServer._gated`) runs the
+  tenant's token bucket, the ``/v1/idct`` circuit breaker and the
+  in-flight bound in that order: at most ``max_inflight`` compute
+  requests are admitted; past that the server answers **429** (the
   ``serve.queue_depth`` gauge tracks the admitted depth, and
   ``serve.rejected_total`` counts the turn-aways).  Each admitted
   request runs under an optional wall-clock budget
@@ -79,7 +51,7 @@ import math
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import obs
 from ..core import jsonl
@@ -128,13 +100,8 @@ class ServeConfig:
     breaker_cooldown_s: float = 30.0  # open time before the half-open probe
     job_journal: str | None = None    # JSONL write-ahead journal for jobs
     resume_jobs: bool = False    # re-run journaled interrupted jobs
-    job_retained: int = 64       # terminal jobs kept in memory
-    job_ttl_s: float | None = None    # terminal-job time-to-live
     workers: int = 1             # >1: pre-forked evaluator worker pool
     worker_deadline_s: float = 300.0  # per-batch wall deadline in the pool
-    worker_soft_grace_s: float = 1.0  # SIGINT answer window (the ladder)
-    worker_term_grace_s: float = 2.0  # SIGTERM death window (the ladder)
-    worker_ping_s: float = 5.0   # idle-worker heartbeat period
     worker_crash_budget: int | None = None  # pool-wide deaths before 503s
     fabric_lease_s: float = 30.0  # fabric task lease before a worker is
     #                               presumed dead and the task re-queues
@@ -195,8 +162,6 @@ class EvalServer:
         self.jobs = JobManager(session, max_queued=self.config.max_jobs,
                                journal=self.config.job_journal,
                                resume=self.config.resume_jobs,
-                               max_retained=self.config.job_retained,
-                               ttl_s=self.config.job_ttl_s,
                                keyring=self.keyring)
         self.breaker = CircuitBreaker(
             threshold=self.config.breaker_threshold,
@@ -293,9 +258,6 @@ class EvalServer:
                                    budget_s=self.config.request_budget_s),
             PoolConfig(size=self.config.workers,
                        deadline_s=deadline,
-                       soft_grace_s=self.config.worker_soft_grace_s,
-                       term_grace_s=self.config.worker_term_grace_s,
-                       ping_interval_s=self.config.worker_ping_s,
                        crash_budget=self.config.worker_crash_budget))
         await self.pool.start(
             warm=tuple(canonical_name(n) for n in self.config.warm))
@@ -443,86 +405,10 @@ class EvalServer:
                    "ok" if response.status < 500 else "error")
 
     # ------------------------------------------------------------------
-    # routing
+    # endpoints (each a coroutine of the request and, under an id
+    # prefix, the id; ROUTES below maps paths and methods to them)
     # ------------------------------------------------------------------
-    async def _route(self, request: Request) -> Response:
-        path, method = request.path, request.method
-        if path == "/healthz":
-            if method != "GET":
-                return error_response("use GET", 405)
-            return self._healthz()
-        if path == "/metrics":
-            if method != "GET":
-                return error_response("use GET", 405)
-            return self._metrics()
-        if path == "/v1/engines":
-            if method != "GET":
-                return error_response("use GET", 405)
-            return self._engines()
-        if path == "/v1/idct":
-            if method != "POST":
-                return error_response("use POST", 405)
-            return await self._idct(request)
-        if path == "/v1/verify":
-            if method != "POST":
-                return error_response("use POST", 405)
-            return await self._verify(request)
-        if path == "/v1/measure":
-            if method != "POST":
-                return error_response("use POST", 405)
-            return await self._measure(request)
-        if path == "/v1/jobs":
-            if method == "GET":
-                return self._list_jobs(request)
-            if method != "POST":
-                return error_response("use POST or GET", 405)
-            return self._submit_job(request)
-        if path.startswith("/v1/jobs/"):
-            if method != "GET":
-                return error_response("use GET", 405)
-            rest = path[len("/v1/jobs/"):]
-            if rest.endswith("/events"):
-                return self._job_events(rest[:-len("/events")])
-            return self._get_job(rest)
-        if path.startswith("/v1/traces/"):
-            if method != "GET":
-                return error_response("use GET", 405)
-            return self._get_trace(path[len("/v1/traces/"):])
-        if path == "/v1/sweeps":
-            if method != "POST":
-                return error_response("use POST", 405)
-            return self._submit_sweep(request)
-        if path.startswith("/v1/sweeps/"):
-            if method != "GET":
-                return error_response("use GET", 405)
-            rest = path[len("/v1/sweeps/"):]
-            if rest.endswith("/results"):
-                return self._sweep_results(rest[:-len("/results")])
-            return self._sweep_status(rest)
-        if path == "/v1/tasks/lease":
-            if method != "POST":
-                return error_response("use POST", 405)
-            return self._lease_tasks(request)
-        if path.startswith("/v1/tasks/"):
-            if method != "POST":
-                return error_response("use POST", 405)
-            rest = path[len("/v1/tasks/"):]
-            if rest.endswith("/heartbeat"):
-                return self._task_heartbeat(
-                    rest[:-len("/heartbeat")], request)
-            if rest.endswith("/result"):
-                return self._task_result(rest[:-len("/result")], request)
-        if path.startswith("/v1/artifacts/"):
-            if method not in ("GET", "PUT"):
-                return error_response("use GET or PUT", 405)
-            return self._artifact(method, path[len("/v1/artifacts/"):],
-                                  request)
-        return error_response(f"no such endpoint: {method} {path}", 404)
-
-    # ------------------------------------------------------------------
-    # endpoints
-    # ------------------------------------------------------------------
-    def _healthz(self) -> Response:
+    async def _healthz(self, request: Request) -> Response:
         return json_response({
             "status": "draining" if self._draining else "ok",
             "inflight": self.admission.inflight,
@@ -536,14 +422,14 @@ class EvalServer:
             "uptime_s": round(time.monotonic() - self._started, 3),
         })
 
-    def _engines(self) -> Response:
+    async def _engines(self, request: Request) -> Response:
         # One-serialization-path rule: exactly the bytes that
         # `python -m repro engines --json` prints.
         from ..engines import render_engines_json
 
         return Response(body=render_engines_json().encode("utf-8"))
 
-    def _metrics(self) -> Response:
+    async def _metrics(self, request: Request) -> Response:
         from ..obs.report import ensure_default_instruments, render_prometheus
 
         ensure_default_instruments()
@@ -596,11 +482,47 @@ class EvalServer:
                          "qos.quota_rejections"):
                 obs_metrics.counter(f"{base}|tenant={tenant.name}")
 
+    async def _gated(self, request: Request, work,
+                     breaker: bool = False) -> Response:
+        """Answer one compute request: ``await work()`` once admitted.
+
+        The gate is the tenant's token bucket (429), then with
+        ``breaker`` the evaluator circuit (503), then :meth:`_admit`
+        (503 draining, 429 overloaded).  The admission slot is released
+        in one ``finally``; an exception from ``work`` maps to its HTTP
+        status and, with ``breaker``, counts as an evaluator failure.
+        """
+        rejected = self._throttle(request)
+        if rejected is None and breaker:
+            rejected = self._breaker_reject()
+        if rejected is None:
+            rejected = self._admit()
+            if rejected is not None and breaker:
+                # The breaker admitted (possibly its half-open probe) but
+                # admission said no: the request never ran, so release
+                # the probe slot without recording an outcome.
+                self.breaker.cancel()
+        if rejected is not None:
+            return rejected
+        try:
+            return await work()
+        except Exception as exc:  # noqa: BLE001 - mapped to HTTP below
+            if breaker:
+                self.breaker.record_failure(exc)
+            return self._compute_error(exc)
+        finally:
+            self.admission.release()
+
+    def _intake(self, request: Request) -> Response | None:
+        """The sweep endpoints' gate: 503 while draining, else the
+        tenant's token bucket; ``None`` admits."""
+        if self._draining:
+            return error_response("server is draining", 503)
+        return self._throttle(request)
+
     async def _idct(self, request: Request) -> Response:
         payload = request.json()
-        name = payload.get("design")
-        if not isinstance(name, str) or not name:
-            return error_response("missing 'design'", 400)
+        name = _required(payload, "design")
         try:
             # Resolve before the breaker/batcher are involved: a typo'd
             # engine is a client error, not an evaluator failure.
@@ -611,29 +533,14 @@ class EvalServer:
         from ..api import canonical_name
 
         key = (canonical_name(name), engine)
-        rejected = self._throttle(request)
-        if rejected is not None:
-            return rejected
-        rejected = self._breaker_reject()
-        if rejected is None:
-            rejected = self._admit()
-            if rejected is not None:
-                # The breaker admitted (possibly its half-open probe) but
-                # admission control said 429: the request never ran, so
-                # release the probe slot without recording an outcome.
-                self.breaker.cancel()
-        if rejected is not None:
-            return rejected
-        try:
+
+        async def evaluate() -> Response:
             outputs = await self.batcher.submit(key, blocks)
-        except Exception as exc:  # noqa: BLE001 - mapped to HTTP below
-            self.breaker.record_failure(exc)
-            return self._compute_error(exc)
-        finally:
-            self.admission.release()
-        self.breaker.record_success()
-        return json_response({"design": key[0], "engine": engine,
-                              "count": len(outputs), "outputs": outputs})
+            self.breaker.record_success()
+            return json_response({"design": key[0], "engine": engine,
+                                  "count": len(outputs), "outputs": outputs})
+
+        return await self._gated(request, evaluate, breaker=True)
 
     def _breaker_reject(self) -> Response | None:
         """503 + ``Retry-After`` while the evaluator circuit is open."""
@@ -648,61 +555,41 @@ class EvalServer:
 
     async def _verify(self, request: Request) -> Response:
         payload = request.json()
-        name = payload.get("design")
-        if not isinstance(name, str) or not name:
-            return error_response("missing 'design'", 400)
+        name = _required(payload, "design")
         try:
             engine = resolve_engine(payload.get("engine", "compiled"), "sim")
         except ValueError as exc:
             return error_response(str(exc), 400)
-        rejected = self._throttle(request)
-        if rejected is not None:
-            return rejected
-        rejected = self._admit()
-        if rejected is not None:
-            return rejected
-        try:
-            measured = await self._in_compute(
-                self.session.verify, name, engine=engine)
-        except EvaluationError as exc:
-            if isinstance(exc, (BudgetExceeded, UsageError)):
-                return self._compute_error(exc)
-            return json_response({"design": name, "bit_exact": False,
-                                  "error": str(exc)}, status=422)
-        except Exception as exc:  # noqa: BLE001
-            return self._compute_error(exc)
-        finally:
-            self.admission.release()
-        return json_response({"design": measured.name,
-                              "bit_exact": measured.bit_exact,
-                              "measured": measured.to_dict()})
+
+        async def verify() -> Response:
+            try:
+                measured = await self._in_compute(
+                    self.session.verify, name, engine=engine)
+            except EvaluationError as exc:
+                if isinstance(exc, (BudgetExceeded, UsageError)):
+                    raise
+                return json_response({"design": name, "bit_exact": False,
+                                      "error": str(exc)}, status=422)
+            return json_response({"design": measured.name,
+                                  "bit_exact": measured.bit_exact,
+                                  "measured": measured.to_dict()})
+
+        return await self._gated(request, verify)
 
     async def _measure(self, request: Request) -> Response:
-        payload = request.json()
-        name = payload.get("design")
-        if not isinstance(name, str) or not name:
-            return error_response("missing 'design'", 400)
-        rejected = self._throttle(request)
-        if rejected is not None:
-            return rejected
-        rejected = self._admit()
-        if rejected is not None:
-            return rejected
-        try:
-            measured = await self._in_compute(self.session.measure, name)
-        except Exception as exc:  # noqa: BLE001
-            return self._compute_error(exc)
-        finally:
-            self.admission.release()
-        # Byte-identical to `python -m repro measure <design> --json`.
-        return Response(body=measured.to_json().encode("utf-8"))
+        name = _required(request.json(), "design")
 
-    def _submit_job(self, request: Request) -> Response:
-        if self._draining:
-            return error_response("server is draining", 503)
-        throttled = self._throttle(request)
-        if throttled is not None:
-            return throttled
+        async def measure() -> Response:
+            measured = await self._in_compute(self.session.measure, name)
+            # Byte-identical to `python -m repro measure <design> --json`.
+            return Response(body=measured.to_json().encode("utf-8"))
+
+        return await self._gated(request, measure)
+
+    async def _submit_job(self, request: Request) -> Response:
+        rejected = self._intake(request)
+        if rejected is not None:
+            return rejected
         payload = request.json()
         kind = payload.get("kind")
         if not isinstance(kind, str):
@@ -722,13 +609,13 @@ class EvalServer:
                                 getattr(exc, "retry_after", 1))
         return json_response(job.to_dict(), status=202)
 
-    def _get_job(self, job_id: str) -> Response:
+    async def _get_job(self, request: Request, job_id: str) -> Response:
         job = self.jobs.get(job_id)
         if job is None:
             return error_response(f"no such job: {job_id}", 404)
         return json_response(job.to_dict())
 
-    def _list_jobs(self, request: Request) -> Response:
+    async def _list_jobs(self, request: Request) -> Response:
         """Every retained job (journal-recovered ones included);
         ``?tenant=<name>`` narrows the listing to one tenant's jobs."""
         tenant = None
@@ -741,7 +628,7 @@ class EvalServer:
             {"jobs": [job.to_dict()
                       for job in self.jobs.list(tenant=tenant)]})
 
-    def _job_events(self, job_id: str) -> Response:
+    async def _job_events(self, request: Request, job_id: str) -> Response:
         """Chunked NDJSON stream of one job's structured events.
 
         Replays everything captured so far (journal-recovered events
@@ -768,7 +655,7 @@ class EvalServer:
         return Response(content_type="application/x-ndjson",
                         stream=stream())
 
-    def _get_trace(self, trace_id: str) -> Response:
+    async def _get_trace(self, request: Request, trace_id: str) -> Response:
         """The assembled span tree for one trace id."""
         from ..obs.report import span_tree_payload
 
@@ -782,14 +669,12 @@ class EvalServer:
     # ------------------------------------------------------------------
     # fabric task surface
     # ------------------------------------------------------------------
-    def _submit_sweep(self, request: Request) -> Response:
+    async def _submit_sweep(self, request: Request) -> Response:
         from ..exec.tasks import TaskSchemaError
 
-        if self._draining:
-            return error_response("server is draining", 503)
-        throttled = self._throttle(request)
-        if throttled is not None:
-            return throttled
+        rejected = self._intake(request)
+        if rejected is not None:
+            return rejected
         try:
             sweep_id = self.fabric.submit(
                 request.json(), tenant=getattr(request, "tenant", None))
@@ -807,13 +692,14 @@ class EvalServer:
         return json_response({"id": sweep_id,
                               "tasks": info.get("total", 0)})
 
-    def _sweep_status(self, sweep_id: str) -> Response:
+    async def _sweep_status(self, request: Request, sweep_id: str) -> Response:
         info = self.fabric.status(sweep_id)
         if info is None:
             return error_response(f"no such sweep: {sweep_id}", 404)
         return json_response(info)
 
-    def _sweep_results(self, sweep_id: str) -> Response:
+    async def _sweep_results(self, request: Request,
+                             sweep_id: str) -> Response:
         info = self.fabric.status(sweep_id)
         if info is None:
             return error_response(f"no such sweep: {sweep_id}", 404)
@@ -823,11 +709,9 @@ class EvalServer:
                 f"sweep {sweep_id} is {info['state']}, not done", 409)
         return json_response({"id": sweep_id, "results": results})
 
-    def _lease_tasks(self, request: Request) -> Response:
+    async def _lease_tasks(self, request: Request) -> Response:
         payload = request.json()
-        worker = payload.get("worker")
-        if not isinstance(worker, str) or not worker:
-            return error_response("missing 'worker'", 400)
+        worker = _required(payload, "worker")
         if self._draining:
             # A draining master hands out no new work; workers idle and
             # exit on their own schedule.
@@ -843,11 +727,9 @@ class EvalServer:
                        for sweep in self.fabric.sweeps.values())
         return json_response({"leases": leases, "finished": finished})
 
-    def _task_heartbeat(self, task_id: str, request: Request) -> Response:
-        payload = request.json()
-        worker = payload.get("worker")
-        if not isinstance(worker, str) or not worker:
-            return error_response("missing 'worker'", 400)
+    async def _task_heartbeat(self, request: Request,
+                              task_id: str) -> Response:
+        worker = _required(request.json(), "worker")
         reply = self.fabric.heartbeat(task_id, worker)
         if reply is None:
             return error_response(f"no such task: {task_id}", 404)
@@ -856,12 +738,10 @@ class EvalServer:
                 f"lease on {task_id} is no longer held by {worker}", 409)
         return json_response(reply)
 
-    def _task_result(self, task_id: str, request: Request) -> Response:
+    async def _task_result(self, request: Request, task_id: str) -> Response:
         payload = request.json()
-        worker = payload.get("worker")
+        worker = _required(payload, "worker")
         output = payload.get("output")
-        if not isinstance(worker, str) or not worker:
-            return error_response("missing 'worker'", 400)
         if not isinstance(output, dict):
             return error_response("missing 'output'", 400)
         reply = self.fabric.result(task_id, worker, output,
@@ -877,7 +757,7 @@ class EvalServer:
                 self.fabric.tasks[task_id].sweep))
         return json_response({"ok": True})
 
-    def _artifact(self, method: str, key: str, request: Request) -> Response:
+    async def _artifact(self, request: Request, key: str) -> Response:
         if len(key) != 64 or any(c not in "0123456789abcdef" for c in key):
             return error_response(
                 "artifact keys are 64 lowercase hex chars (SHA-256)", 400)
@@ -885,7 +765,7 @@ class EvalServer:
         if cache is None:
             return error_response(
                 "no artifact cache configured on this master", 503)
-        if method == "GET":
+        if request.method == "GET":
             data = cache.get_blob(key)
             if data is None:
                 return error_response(f"no such artifact: {key}", 404)
@@ -898,6 +778,65 @@ class EvalServer:
             # claimed address.  The cache quarantined them already.
             return error_response(str(exc), 400)
         return json_response({"key": key})
+
+    # ------------------------------------------------------------------
+    # routing
+    # ------------------------------------------------------------------
+    #: Every endpoint, in match order: (path, {method: handler}).  A path
+    #: is exact or holds one ``<id>``, which matches any text and reaches
+    #: the handler as its second argument.  Rows that share an id prefix
+    #: share their methods, because the method is checked on the first
+    #: row whose prefix matches, before its suffix is.
+    ROUTES = tuple((*path.partition("<id>"), handlers) for path, handlers in (
+        # liveness, drain state, breaker, workers, fabric leases, QoS
+        ("/healthz", {"GET": _healthz}),
+        # live obs snapshot in Prometheus text (per-design/engine series)
+        ("/metrics", {"GET": _metrics}),
+        # the engine registry; `python -m repro engines --json` bytes
+        ("/v1/engines", {"GET": _engines}),
+        # 8x8 blocks against a named design, micro-batched across requests
+        ("/v1/idct", {"POST": _idct}),
+        # fresh compliance verification of one design
+        ("/v1/verify", {"POST": _verify}),
+        # full characterization; `python -m repro measure <d> --json` bytes
+        ("/v1/measure", {"POST": _measure}),
+        # start an async table2/fig1 sweep; list retained jobs
+        ("/v1/jobs", {"POST": _submit_job, "GET": _list_jobs}),
+        # the job's NDJSON event stream: replay, then live until terminal
+        ("/v1/jobs/<id>/events", {"GET": _job_events}),
+        # poll a sweep job
+        ("/v1/jobs/<id>", {"GET": _get_job}),
+        # the assembled span tree of one trace id
+        ("/v1/traces/<id>", {"GET": _get_trace}),
+        # submit a distributed sweep (wire-form tasks) to the fabric broker
+        ("/v1/sweeps", {"POST": _submit_sweep}),
+        # a finished fabric sweep's results (409 before it is done)
+        ("/v1/sweeps/<id>/results", {"GET": _sweep_results}),
+        # fabric sweep status
+        ("/v1/sweeps/<id>", {"GET": _sweep_status}),
+        # pull-worker lease: up to N runnable tasks, each with a deadline
+        ("/v1/tasks/lease", {"POST": _lease_tasks}),
+        # extend a live lease mid-run
+        ("/v1/tasks/<id>/heartbeat", {"POST": _task_heartbeat}),
+        # a task's record + obs buffers + artifact manifest (stale: 409)
+        ("/v1/tasks/<id>/result", {"POST": _task_result}),
+        # fetch, or upload, a content-addressed blob; an upload whose
+        # bytes do not hash to the key is rejected and quarantined
+        ("/v1/artifacts/<id>", {"GET": _artifact, "PUT": _artifact}),
+    ))
+
+    async def _route(self, request: Request) -> Response:
+        path, method = request.path, request.method
+        for prefix, ident, suffix, handlers in self.ROUTES:
+            if not (path.startswith(prefix) if ident else path == prefix):
+                continue
+            if method not in handlers:
+                return error_response("use " + " or ".join(handlers), 405)
+            rest = path[len(prefix):]
+            if rest.endswith(suffix):
+                ids = (rest[:len(rest) - len(suffix)],) if ident else ()
+                return await handlers[method](self, request, *ids)
+        return error_response(f"no such endpoint: {method} {path}", 404)
 
     # ------------------------------------------------------------------
     # compute plumbing
@@ -969,6 +908,15 @@ def _root_span(name: str, attrs: dict, ctx: TraceContext | None,
         "trace_id": ctx.trace_id if ctx is not None else "",
     }])
     return span_id
+
+
+def _required(payload: dict, name: str) -> str:
+    """The request's required non-empty string field ``name`` (400 if
+    it is missing or not a string)."""
+    value = payload.get(name)
+    if not isinstance(value, str) or not value:
+        raise ProtocolError(f"missing {name!r}")
+    return value
 
 
 def _retry_later(response: Response, seconds: int = 1) -> Response:

@@ -389,6 +389,87 @@ class TestLiveServer:
         assert status == 400
         assert server.stop() == 0
 
+    def test_routing_contract(self, live):
+        """Every endpoint answers its own method and refuses each wrong
+        one with the 405 text its method list names; the edge cases of
+        the id/suffix split keep their status and body.  An expected
+        body is the exact JSON error, or a predicate over the raw bytes."""
+        from repro.api import render_engines_json
+
+        key = "ab" * 32
+        own = [
+            ("GET", "/healthz", 200,
+             lambda body: json.loads(body)["status"] == "ok"),
+            ("GET", "/metrics", 200,
+             lambda body: b"repro_serve_requests_total" in body),
+            ("GET", "/v1/engines", 200,
+             lambda body: body == render_engines_json().encode("utf-8")),
+            ("POST", "/v1/idct", 400, "missing 'design'"),
+            ("POST", "/v1/verify", 400, "missing 'design'"),
+            ("POST", "/v1/measure", 400, "missing 'design'"),
+            ("POST", "/v1/jobs", 400, "missing 'kind'"),
+            ("GET", "/v1/jobs", 200, lambda body: json.loads(body) == {
+                "jobs": []}),
+            ("GET", "/v1/jobs/x", 404, "no such job: x"),
+            ("GET", "/v1/jobs/x/events", 404, "no such job: x"),
+            ("GET", "/v1/traces/x", 404, "no spans for trace: x"),
+            ("POST", "/v1/sweeps", 400,
+             "sweep needs a non-empty 'tasks' list"),
+            ("GET", "/v1/sweeps/x", 404, "no such sweep: x"),
+            ("GET", "/v1/sweeps/x/results", 404, "no such sweep: x"),
+            ("POST", "/v1/tasks/lease", 400, "missing 'worker'"),
+            ("POST", "/v1/tasks/x/heartbeat", 400, "missing 'worker'"),
+            ("POST", "/v1/tasks/x/result", 400, "missing 'worker'"),
+            ("GET", f"/v1/artifacts/{key}", 503,
+             "no artifact cache configured on this master"),
+            ("PUT", f"/v1/artifacts/{key}", 503,
+             "no artifact cache configured on this master"),
+        ]
+        wrong = []
+        for path, allowed in (
+                ("/healthz", "GET"), ("/metrics", "GET"),
+                ("/v1/engines", "GET"), ("/v1/idct", "POST"),
+                ("/v1/verify", "POST"), ("/v1/measure", "POST"),
+                ("/v1/jobs", "POST or GET"), ("/v1/jobs/x", "GET"),
+                ("/v1/jobs/x/events", "GET"), ("/v1/traces/x", "GET"),
+                ("/v1/sweeps", "POST"), ("/v1/sweeps/x", "GET"),
+                ("/v1/sweeps/x/results", "GET"),
+                ("/v1/tasks/lease", "POST"),
+                ("/v1/tasks/x/heartbeat", "POST"),
+                ("/v1/tasks/x/result", "POST"),
+                (f"/v1/artifacts/{key}", "GET or PUT")):
+            for method in ("GET", "POST", "PUT", "DELETE"):
+                if method not in allowed.split(" or "):
+                    wrong.append((method, path, 405, f"use {allowed}"))
+        edges = [
+            ("PUT", "/v1/jobs", 405, "use POST or GET"),
+            ("POST", "/v1/jobs/x/events", 405, "use GET"),
+            ("GET", "/v1/tasks/lease", 405, "use POST"),
+            ("GET", "/v1/tasks/x", 405, "use POST"),
+            ("POST", "/v1/tasks/x", 404,
+             "no such endpoint: POST /v1/tasks/x"),
+            ("DELETE", f"/v1/artifacts/{key}", 405, "use GET or PUT"),
+            ("GET", "/v1/nope", 404, "no such endpoint: GET /v1/nope"),
+        ]
+        server = live(batch_wait_s=0.0)
+        for method, path, status, expected in own + wrong + edges:
+            got, body = server.request(method, path)
+            assert got == status, (method, path, body)
+            if callable(expected):
+                assert expected(body), (method, path, body)
+            else:
+                assert json.loads(body) == {"error": expected}, (method, path)
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=120)
+        try:
+            conn.request("GET", "/v1/nope", headers={"X-Api-Key": "typo"})
+            response = conn.getresponse()
+            assert response.status == 403
+            assert json.loads(response.read()) == {"error": "unknown API key"}
+        finally:
+            conn.close()
+        assert server.stop() == 0
+
     def test_http_burst_coalesces_and_is_bit_exact(self, live):
         """Concurrent single-block requests for one design coalesce to
         <= ceil(N/max_batch) evaluator invocations (here: one), and every
